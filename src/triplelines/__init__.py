@@ -28,9 +28,7 @@ from .errors import TripleLinesError
 from .field import (
     FieldElement,
     FieldSpec,
-    arith,
     cube_roots_of_unity,
-    enumerate_elements,
     make_field,
     parse_field,
     roots_of,
@@ -52,7 +50,7 @@ from .incidence import (
     save_arrangement,
     table,
 )
-from .polynomial import IntPolynomial, collinearity_poly, concurrency_poly
+from .polynomial import IntPolynomial, collinearity_poly
 from .projective import (
     ProjLine,
     ProjPoint,

@@ -37,6 +37,7 @@ from .incidence import (
     abstract,
     arrangement_to_json,
     check_identity,
+    element_to_json,
     field_to_json,
     isomorphic,
     load_arrangement,
@@ -65,10 +66,6 @@ def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
 def _parse_element(F: FieldSpec, text: str) -> FieldElement:
     parts = text.replace("[", "").replace("]", "").split(",")
     return F.element([int(c) for c in parts])
-
-
-def _element_json(e: FieldElement):
-    return e.index if e.field.k == 1 else list(e.coeffs)
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
@@ -190,7 +187,7 @@ def _cmd_verify(args) -> CommandResult:
     report = {
         "certificate": args.name,
         "field": field_to_json(F),
-        "param": _element_json(rep.param) if rep.param is not None else None,
+        "param": element_to_json(rep.param) if rep.param is not None else None,
         "ok": rep.ok,
         "tvec_expected": {str(k): v for k, v in rep.tvec_expected.items()},
         "tvec_actual": {str(k): v for k, v in rep.tvec_actual.items()},
@@ -248,7 +245,7 @@ def _cmd_constraints(args) -> CommandResult:
             "field": field_to_json(F),
             "raw_solution_count": len(raw),
             "solution_count": len(kept),
-            "solutions": [{v: _element_json(asg[v]) for v in system.variables}
+            "solutions": [{v: element_to_json(asg[v]) for v in system.variables}
                           for asg in kept],
             "post_checks": [name for name, _ in system.post_checks],
         }
@@ -276,7 +273,7 @@ def _cmd_constraints(args) -> CommandResult:
             "ok": crep.ok,
             "violations": [
                 {"field": field_to_json(v.field),
-                 "assignment": {k: _element_json(e) for k, e in v.assignment.items()},
+                 "assignment": {k: element_to_json(e) for k, e in v.assignment.items()},
                  "consequence": repr(v.consequence)}
                 for v in crep.violations],
         }

@@ -5,7 +5,10 @@ prescribed collinearities/concurrencies into integer-coefficient equations,
 adds non-degeneracy inequations, and is solved over any finite field by
 exhaustive enumeration of all variable assignments. Geometric side conditions
 that are awkward as polynomials (membership of a pencil, a forbidden extra
-incidence) are applied as post-checks on candidate solutions.
+incidence) are applied as post-checks on candidate solutions. Each scenario's
+construction (frame lines, joins and meets, incidence conditions) is written
+once over any commutative ring: over integer polynomials it derives the
+equations, over a finite field it drives the post-checks and realize().
 
 Five scenarios are built in:
 
@@ -25,24 +28,17 @@ Five scenarios are built in:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import FieldTooLarge, IdenticalArguments, UnsolvedAssignment
+from .errors import IdenticalArguments, UnsolvedAssignment
 from .field import FieldElement, FieldSpec, make_field
 from .incidence import Arrangement
-from .polynomial import (
-    IntPolynomial,
-    collinearity_poly,
-    concurrency_poly,
-    cross_poly,
-    poly_ring,
-)
-from .projective import ProjLine, incident, join, meet
-
-MAX_FIELD_ORDER = 2 ** 16
+from .polynomial import IntPolynomial, poly_ring
+from .projective import ProjLine, cross, incident, inner, meet
 
 TEN_E1 = "TEN_E1"
 TEN_CASE_A = "TEN_CASE_A"
@@ -106,67 +102,102 @@ class ConsequenceReport:
 
 
 # ---------------------------------------------------------------------------
-# scenario frames and derived (determinant) systems
+# scenario geometry, written once over any commutative ring
 # ---------------------------------------------------------------------------
 
-def _sym_frame_abcd():
-    """Lines x, y, z, x+y+z, ax+by+z, cx+dy+z with symbolic a, b, c, d."""
-    (a, b, c, d), const = poly_ring(("a", "b", "c", "d"))
-    zero, one = const(0), const(1)
-    L = {
-        1: (one, zero, zero),
-        2: (zero, one, zero),
-        3: (zero, zero, one),
-        4: (one, one, one),
-        5: (a, b, one),
-        6: (c, d, one),
-    }
-    P = {(i, j): cross_poly(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
-    return L, P
+#: frame lines L_1, L_2, ... as coefficient templates; each coefficient is a
+#: signed sum of scenario variables and integers
+_FRAME_ABCD = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1", "c d 1")
+_FRAME_CASE_B = ("1 0 0", "0 1 0", "0 0 1", "a -a-1 1", "b -b-1 1", "c -c-1 1")
+_FRAME_CASE_II = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1")
 
 
-def _sym_frame_case_b():
-    """Lines x, y, z and three lines through (1:1:1) parameterized by a, b, c."""
-    (a, b, c), const = poly_ring(("a", "b", "c"))
-    zero, one = const(0), const(1)
-    L = {
-        1: (one, zero, zero),
-        2: (zero, one, zero),
-        3: (zero, zero, one),
-        4: (a, -(a + one), one),
-        5: (b, -(b + one), one),
-        6: (c, -(c + one), one),
-    }
-    P = {(i, j): cross_poly(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
-    return L, P
+def _coefficient(template: str, values: dict, one):
+    """A template such as '0', 'a' or '-a-1' evaluated in the ring of `one`."""
+    total = one - one
+    for sign, term in re.findall(r"([+-]?)(\w+)", template):
+        value = values[term] if term.isalpha() else one * int(term)
+        total = total - value if sign == "-" else total + value
+    return total
 
 
-def _sym_frame_case_ii():
-    """Lines x, y, z, x+y+z, ax+by+z with symbolic a, b."""
-    (a, b), const = poly_ring(("a", "b"))
-    zero, one = const(0), const(1)
-    L = {
-        1: (one, zero, zero),
-        2: (zero, one, zero),
-        3: (zero, zero, one),
-        4: (one, one, one),
-        5: (a, b, one),
-    }
-    P = {(i, j): cross_poly(L[i], L[j]) for i in range(1, 6) for j in range(i + 1, 6)}
-    return L, P
+@dataclass(frozen=True)
+class _Recipe:
+    """A scenario's construction from its frame, valid over any ring.
+
+    P_ij names the meet of frame lines L_i and L_j. A step (X, U, V) makes X
+    the cross product of U and V: the join of two points or the meet of two
+    lines. A condition (X, Y) says that point X lies on line Y; in order, the
+    conditions are the scenario's equations. Identities are incidences that
+    hold in the frame for every value of the variables. `lines` are the
+    constructed lines that complete the arrangement.
+    """
+
+    frame: tuple
+    steps: tuple
+    conditions: tuple
+    lines: tuple
+    identities: tuple = ()
+
+    def construct(self, values: dict, one) -> dict:
+        """Coordinate triples of every named line and point, in the ring of `one`.
+
+        Raises IdenticalArguments when a cross product vanishes, that is when
+        a step joins two equal points or meets two equal lines.
+        """
+        g = {f"L_{i}": tuple(_coefficient(t, values, one) for t in row.split())
+             for i, row in enumerate(self.frame, 1)}
+        n = len(self.frame)
+        meets = tuple((f"P_{i}{j}", f"L_{i}", f"L_{j}")
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        for name, u, v in meets + self.steps:
+            w = cross(g[u], g[v])
+            if all(c.is_zero() for c in w):
+                raise IdenticalArguments(f"{name}: {u} and {v} coincide")
+            g[name] = w
+        return g
 
 
-#: collinear point triples forced in the TEN_E1 frame (rows of the four
-#: lines through the 4-fold point W)
-TEN_E1_TRIPLES = (
-    ((1, 2), (3, 4), (5, 6)),
-    ((1, 3), (2, 5), (4, 6)),
-    ((1, 4), (2, 6), (3, 5)),
-    ((1, 5), (2, 4), (3, 6)),
-)
+_TEN_E1_RECIPE = _Recipe(
+    _FRAME_ABCD,
+    # the four lines through the 4-fold point W, each through a forced
+    # collinear triple of frame points, and W itself
+    steps=(("M_1", "P_12", "P_34"), ("M_2", "P_13", "P_25"),
+           ("M_3", "P_14", "P_26"), ("M_4", "P_15", "P_24"), ("W", "M_2", "M_3")),
+    conditions=(("P_56", "M_1"), ("P_46", "M_2"), ("P_35", "M_3"),
+                ("P_36", "M_4"), ("W", "M_4")),
+    lines=("M_1", "M_2", "M_3", "M_4"))
 
-#: the same four triples plus the one on the extra configuration line
-ELEVEN_I_TRIPLES = TEN_E1_TRIPLES + (((1, 6), (2, 3), (4, 5)),)
+_RECIPES = {
+    TEN_E1: _TEN_E1_RECIPE,
+    TEN_CASE_A: _TEN_E1_RECIPE,
+    ELEVEN_CASE_I: _Recipe(
+        _FRAME_ABCD,
+        # the same four forced triples plus the one on the extra line T_5
+        steps=(("T_1", "P_12", "P_34"), ("T_2", "P_13", "P_25"), ("T_3", "P_14", "P_26"),
+               ("T_4", "P_15", "P_24"), ("T_5", "P_16", "P_23")),
+        conditions=(("P_56", "T_1"), ("P_46", "T_2"), ("P_35", "T_3"),
+                    ("P_36", "T_4"), ("P_45", "T_5")),
+        lines=("T_1", "T_2", "T_3", "T_4", "T_5")),
+    TEN_CASE_B: _Recipe(
+        _FRAME_CASE_B,
+        steps=(("M_1", "P_14", "P_25"), ("M_2", "P_12", "P_34"), ("M_3", "P_15", "P_23"),
+               ("M_4", "P_13", "P_26"), ("Z_1", "M_3", "M_4"), ("Z_2", "M_2", "M_4"),
+               ("Z_3", "M_2", "M_3")),
+        conditions=(("Z_1", "L_4"), ("Z_2", "L_5"), ("Z_3", "L_6"), ("P_36", "M_1")),
+        lines=("M_1", "M_2", "M_3", "M_4")),
+    ELEVEN_CASE_II: _Recipe(
+        _FRAME_CASE_II,
+        steps=(("M_1", "P_12", "P_34"), ("M_2", "P_15", "P_23"),
+               ("N_1", "P_14", "P_25"), ("N_2", "P_24", "P_35"),
+               ("W_1", "M_1", "M_2"), ("W_2", "N_1", "N_2"),
+               ("M_3", "W_1", "P_45"), ("N_3", "W_2", "P_13"),
+               ("Z_1", "M_3", "N_2"), ("Z_2", "M_3", "N_3"), ("Z_3", "M_3", "N_1"),
+               ("Z_4", "M_2", "N_3"), ("Z_5", "M_1", "N_3")),
+        conditions=(("Z_1", "L_1"), ("Z_3", "L_3"), ("Z_4", "L_4"), ("Z_5", "L_5")),
+        lines=("M_1", "M_2", "N_1", "N_2", "M_3", "N_3"),
+        identities=(("Z_2", "L_2"),)),
+}
 
 
 def derived_equations(name: str) -> list[IntPolynomial]:
@@ -176,53 +207,16 @@ def derived_equations(name: str) -> list[IntPolynomial]:
     every scenario except the last TEN_CASE_B condition these agree with the
     stored equations up to sign.
     """
-    if name in (TEN_E1, TEN_CASE_A):
-        L, P = _sym_frame_abcd()
-        eqs = [collinearity_poly(*[P[t] for t in row]) for row in TEN_E1_TRIPLES]
-        m_lines = [cross_poly(P[row[0]], P[row[1]]) for row in TEN_E1_TRIPLES]
-        # concurrency of the three hub lines other than M_1
-        eqs.append(concurrency_poly(m_lines[1], m_lines[2], m_lines[3]))
-        return eqs
-    if name == ELEVEN_CASE_I:
-        L, P = _sym_frame_abcd()
-        return [collinearity_poly(*[P[t] for t in row]) for row in ELEVEN_I_TRIPLES]
-    if name == ELEVEN_CASE_II:
-        L, P = _sym_frame_case_ii()
-        m1 = cross_poly(P[(1, 2)], P[(3, 4)])
-        m2 = cross_poly(P[(1, 5)], P[(2, 3)])
-        n1 = cross_poly(P[(1, 4)], P[(2, 5)])
-        n2 = cross_poly(P[(2, 4)], P[(3, 5)])
-        w1 = cross_poly(m1, m2)
-        w2 = cross_poly(n1, n2)
-        m3 = cross_poly(w1, P[(4, 5)])
-        n3 = cross_poly(w2, P[(1, 3)])
-        z1 = cross_poly(m3, n2)
-        z2 = cross_poly(m3, n3)
-        z3 = cross_poly(m3, n1)
-        z4 = cross_poly(m2, n3)
-        z5 = cross_poly(m1, n3)
-        conds = []
-        for z, line in ((z1, L[1]), (z2, L[2]), (z3, L[3]), (z4, L[4]), (z5, L[5])):
-            dotp = z[0] * line[0] + z[1] * line[1] + z[2] * line[2]
-            conds.append(dotp.content_normalized())
-        # membership of Z_2 on L_2 holds identically
-        assert conds[1].is_zero()
-        return [conds[0], conds[2], conds[3], conds[4]]
-    if name == TEN_CASE_B:
-        L, P = _sym_frame_case_b()
-        m2 = cross_poly(P[(1, 2)], P[(3, 4)])
-        m3 = cross_poly(P[(1, 5)], P[(2, 3)])
-        m4 = cross_poly(P[(1, 3)], P[(2, 6)])
-        z1 = cross_poly(m3, m4)
-        z2 = cross_poly(m2, m4)
-        z3 = cross_poly(m2, m3)
-        conds = []
-        for z, line in ((z1, L[4]), (z2, L[5]), (z3, L[6])):
-            dotp = z[0] * line[0] + z[1] * line[1] + z[2] * line[2]
-            conds.append(dotp.content_normalized())
-        conds.append(collinearity_poly(P[(1, 4)], P[(2, 5)], P[(3, 6)]))
-        return conds
-    raise ValueError(f"unknown scenario {name!r}")
+    if name not in _RECIPES:
+        raise ValueError(f"unknown scenario {name!r}")
+    recipe = _RECIPES[name]
+    variables = sorted({ch for row in recipe.frame for ch in row if ch.isalpha()})
+    gens, const = poly_ring(variables)
+    g = recipe.construct(dict(zip(variables, gens)), const(1))
+    for x, y in recipe.identities:
+        if not inner(g[x], g[y]).is_zero():
+            raise RuntimeError(f"{name}: {x} on {y} does not hold identically")
+    return [inner(g[x], g[y]).content_normalized() for x, y in recipe.conditions]
 
 
 # ---------------------------------------------------------------------------
@@ -297,52 +291,29 @@ CONSEQUENCES = {
 
 
 # ---------------------------------------------------------------------------
-# concrete geometry for post-checks and realization
+# geometric post-checks
 # ---------------------------------------------------------------------------
-
-def _frame_lines_abcd(F: FieldSpec, asg: dict) -> dict:
-    one, zero = F.one, F.zero
-    a, b, c, d = asg["a"], asg["b"], asg["c"], asg["d"]
-    return {
-        1: ProjLine(F, (one, zero, zero)),
-        2: ProjLine(F, (zero, one, zero)),
-        3: ProjLine(F, (zero, zero, one)),
-        4: ProjLine(F, (one, one, one)),
-        5: ProjLine(F, (a, b, one)),
-        6: ProjLine(F, (c, d, one)),
-    }
-
-
-def _hub_lines(F: FieldSpec, asg: dict) -> list[ProjLine]:
-    """Joins of the first two points of each forced collinear triple."""
-    L = _frame_lines_abcd(F, asg)
-    P = {(i, j): meet(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
-    return [join(P[row[0]], P[row[1]]) for row in TEN_E1_TRIPLES], P
-
 
 def _case_a_keep(asg: dict, F: FieldSpec) -> bool:
     """Keep solutions where M_1 avoids the common point W of M_2..M_4."""
     try:
-        (m1, m2, m3, m4), _ = _hub_lines(F, asg)
-        w = meet(m2, m3)
+        g = _RECIPES[TEN_CASE_A].construct(asg, F.one)
     except IdenticalArguments:
         return False
-    if not incident(w, m4):
-        return False
-    return not incident(w, m1)
+    return inner(g["W"], g["M_4"]).is_zero() and not inner(g["W"], g["M_1"]).is_zero()
 
 
 def _case_i_keep(asg: dict, F: FieldSpec) -> bool:
     """Keep solutions where the five forced lines do not form a pencil."""
-    L = _frame_lines_abcd(F, asg)
-    P = {(i, j): meet(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
+    recipe = _RECIPES[ELEVEN_CASE_I]
     try:
-        lines = [join(P[row[0]], P[row[1]]) for row in ELEVEN_I_TRIPLES]
-        if len(set(lines)) != 5:
-            return False
-        hub = meet(lines[0], lines[1])
+        g = recipe.construct(asg, F.one)
     except IdenticalArguments:
         return False
+    lines = [ProjLine(F, g[name]) for name in recipe.lines]
+    if len(set(lines)) != 5:
+        return False
+    hub = meet(lines[0], lines[1])
     return not all(incident(hub, t) for t in lines[2:])
 
 
@@ -399,7 +370,7 @@ def _tables(F: FieldSpec, max_degree: int) -> tuple:
 _CHUNK = 1 << 22
 
 
-def _survivors_tabled(system: ConstraintSystem, F: FieldSpec, total: int) -> list[int]:
+def _survivors(system: ConstraintSystem, F: FieldSpec, total: int) -> list[int]:
     q = F.order
     n = len(system.variables)
     degrees = [p.max_degree() for p in system.equations]
@@ -422,26 +393,6 @@ def _survivors_tabled(system: ConstraintSystem, F: FieldSpec, total: int) -> lis
     return found
 
 
-def _survivors_direct(system: ConstraintSystem, F: FieldSpec, total: int) -> list[int]:
-    # per-assignment evaluation for fields beyond the table limit
-    q = F.order
-    n = len(system.variables)
-    found = []
-    for flat in range(total):
-        rem, asg = flat, {}
-        for i, v in enumerate(system.variables):
-            power = q ** (n - 1 - i)
-            asg[v] = FieldElement(F, rem // power)
-            rem %= power
-        if any(not eq.evaluate(asg, F).is_zero() for eq in system.equations):
-            continue
-        if any(all(p.evaluate(asg, F).is_zero() for p in group)
-               for group in system.inequations):
-            continue
-        found.append(flat)
-    return found
-
-
 def solve_over(system: ConstraintSystem, F: FieldSpec, *,
                apply_post_checks: bool = True) -> list[dict]:
     """All assignments over F satisfying the system, in lexicographic order.
@@ -450,11 +401,8 @@ def solve_over(system: ConstraintSystem, F: FieldSpec, *,
     the polynomial constraints then run the geometric post-checks.
     """
     q = F.order
-    if q > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"|F| = {q} exceeds the scan guard {MAX_FIELD_ORDER}")
     n = len(system.variables)
-    total = q ** n
-    flats = (_survivors_tabled if F.has_tables else _survivors_direct)(system, F, total)
+    flats = _survivors(system, F, q ** n)
 
     out = []
     for flat in flats:
@@ -526,63 +474,17 @@ def dict_repr(asg: dict) -> str:
 def realize(name: str, asg: dict, F: FieldSpec) -> Arrangement:
     """The full 10- or 11-line arrangement a scenario solution describes.
 
-    Accepts any raw solution (equations and inequations); the geometric
-    contradiction of a rejected scenario can then be inspected on the
-    resulting arrangement's profile.
+    Accepts any raw solution (equations and inequations) at which the
+    scenario's incidence conditions hold; the geometric contradiction of a
+    rejected scenario can then be inspected on the resulting arrangement's
+    profile.
     """
     system = build_system(name)
     _require_raw_solution(system, asg, F)
-    if name in (TEN_E1, TEN_CASE_A):
-        (m1, m2, m3, m4), _ = _hub_lines(F, asg)
-        L = _frame_lines_abcd(F, asg)
-        lines = [L[i] for i in range(1, 7)] + [m1, m2, m3, m4]
-        labels = [f"L_{i}" for i in range(1, 7)] + [f"M_{i}" for i in range(1, 5)]
-    elif name == ELEVEN_CASE_I:
-        L = _frame_lines_abcd(F, asg)
-        P = {(i, j): meet(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
-        joins = [join(P[row[0]], P[row[1]]) for row in ELEVEN_I_TRIPLES]
-        lines = [L[i] for i in range(1, 7)] + joins
-        labels = [f"L_{i}" for i in range(1, 7)] + [f"T_{i}" for i in range(1, 6)]
-    elif name == TEN_CASE_B:
-        one, zero = F.one, F.zero
-        a, b, c = asg["a"], asg["b"], asg["c"]
-        L = {
-            1: ProjLine(F, (one, zero, zero)),
-            2: ProjLine(F, (zero, one, zero)),
-            3: ProjLine(F, (zero, zero, one)),
-            4: ProjLine(F, (a, -(a + one), one)),
-            5: ProjLine(F, (b, -(b + one), one)),
-            6: ProjLine(F, (c, -(c + one), one)),
-        }
-        P = {(i, j): meet(L[i], L[j]) for i in range(1, 7) for j in range(i + 1, 7)}
-        m1 = join(P[(1, 4)], P[(2, 5)])
-        if not incident(P[(3, 6)], m1):
-            raise UnsolvedAssignment("forced collinearity on M_1 fails")
-        m2 = join(P[(1, 2)], P[(3, 4)])
-        m3 = join(P[(1, 5)], P[(2, 3)])
-        m4 = join(P[(1, 3)], P[(2, 6)])
-        lines = [L[i] for i in range(1, 7)] + [m1, m2, m3, m4]
-        labels = [f"L_{i}" for i in range(1, 7)] + [f"M_{i}" for i in range(1, 5)]
-    elif name == ELEVEN_CASE_II:
-        one, zero = F.one, F.zero
-        a, b = asg["a"], asg["b"]
-        L = {
-            1: ProjLine(F, (one, zero, zero)),
-            2: ProjLine(F, (zero, one, zero)),
-            3: ProjLine(F, (zero, zero, one)),
-            4: ProjLine(F, (one, one, one)),
-            5: ProjLine(F, (a, b, one)),
-        }
-        P = {(i, j): meet(L[i], L[j]) for i in range(1, 6) for j in range(i + 1, 6)}
-        m1 = join(P[(1, 2)], P[(3, 4)])
-        m2 = join(P[(1, 5)], P[(2, 3)])
-        n1 = join(P[(1, 4)], P[(2, 5)])
-        n2 = join(P[(2, 4)], P[(3, 5)])
-        w1, w2 = meet(m1, m2), meet(n1, n2)
-        m3 = join(w1, P[(4, 5)])
-        n3 = join(w2, P[(1, 3)])
-        lines = [L[i] for i in range(1, 6)] + [m1, m2, n1, n2, m3, n3]
-        labels = [f"L_{i}" for i in range(1, 6)] + ["M_1", "M_2", "N_1", "N_2", "M_3", "N_3"]
-    else:
-        raise ValueError(f"unknown scenario {name!r}")
-    return Arrangement(F, lines, labels)
+    recipe = _RECIPES[name]
+    g = recipe.construct(asg, F.one)
+    for x, y in recipe.conditions:
+        if not inner(g[x], g[y]).is_zero():
+            raise UnsolvedAssignment(f"{dict_repr(asg)}: {x} is not on {y} over {F!r}")
+    labels = [f"L_{i}" for i in range(1, len(recipe.frame) + 1)] + list(recipe.lines)
+    return Arrangement(F, [ProjLine(F, g[label]) for label in labels], labels)

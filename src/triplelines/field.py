@@ -2,8 +2,10 @@
 
 Elements are canonical coefficient vectors of length k over Z/p (low degree
 first); extension arithmetic reduces modulo a monic irreducible polynomial.
-Every field caches full operation tables, which is cheap because the toolkit
-never needs q > 81, and makes element arithmetic a pair of list lookups.
+Every field caches full operation tables, which makes element arithmetic a
+pair of list lookups; make_field() therefore builds only fields of order up
+to TABLE_LIMIT and raises FieldTooLarge beyond it (the toolkit never needs
+q > 81).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     NonPrimeCharacteristic,
     ReducibleModulus,
     ZeroPolynomial,
@@ -111,16 +114,17 @@ def _is_irreducible_strict(modulus: Sequence[int], p: int) -> bool:
     return True
 
 
+#: largest field order make_field builds: every field carries full operation
+#: tables, which take O(q^2) memory and build time
 TABLE_LIMIT = 1024
 
 
 class FieldSpec:
     """A finite field GF(p^k) with a fixed monic irreducible modulus.
 
-    Immutable and safe to share across threads. Fields of order up to
-    TABLE_LIMIT precompute full operation tables (every field this toolkit
-    actually computes in has q <= 81); larger fields fall back to direct
-    modular/polynomial arithmetic per operation.
+    Immutable and safe to share across threads. Construction precomputes the
+    full addition, multiplication, negation and inversion tables over element
+    indices; make_field() keeps q <= TABLE_LIMIT so that they stay small.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -128,21 +132,7 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus
         self.order = p ** k
-        self.has_tables = self.order <= TABLE_LIMIT
-        if self.has_tables:
-            self._build_tables()
-
-    # construction goes through make_field(); FieldSpec() itself revalidates
-    # nothing beyond what table construction needs.
-
-    def coeffs_of(self, index: int) -> tuple[int, ...]:
-        if self.has_tables:
-            return self._coeffs[index]
-        coeffs, t = [], index
-        for _ in range(self.k):
-            coeffs.append(t % self.p)
-            t //= self.p
-        return tuple(coeffs)
+        self._build_tables()
 
     def index_of(self, coeffs: Sequence[int]) -> int:
         n = 0
@@ -159,7 +149,7 @@ class FieldSpec:
                 coeffs.append(t % p)
                 t //= p
             coeff_vectors.append(tuple(coeffs))
-        self._coeffs = coeff_vectors
+        self.coeff_table = coeff_vectors
         idx_of = self.index_of
         mod = list(self.modulus)
         add, mul = [], []
@@ -182,40 +172,6 @@ class FieldSpec:
                     inv[a], inv[b] = b, a
                     break
         self.inv_table = inv
-
-    # -- index-level operations (table fast path, computed fallback) -----------
-
-    def add_idx(self, i: int, j: int) -> int:
-        if self.has_tables:
-            return self.add_table[i][j]
-        a, b = self.coeffs_of(i), self.coeffs_of(j)
-        return self.index_of([(x + y) % self.p for x, y in zip(a, b)])
-
-    def mul_idx(self, i: int, j: int) -> int:
-        if self.has_tables:
-            return self.mul_table[i][j]
-        prod = _poly_mul(_trim(list(self.coeffs_of(i))),
-                         _trim(list(self.coeffs_of(j))), self.p)
-        if self.k > 1:
-            prod = _poly_mod(prod, list(self.modulus), self.p)
-        return self.index_of(prod + [0] * (self.k - len(prod)))
-
-    def neg_idx(self, i: int) -> int:
-        if self.has_tables:
-            return self.neg_table[i]
-        return self.index_of([(-x) % self.p for x in self.coeffs_of(i)])
-
-    def inv_idx(self, i: int) -> int:
-        if self.has_tables:
-            return self.inv_table[i]
-        # a^(q-2) by square and multiply
-        result, base, e = 1, i, self.order - 2
-        while e:
-            if e & 1:
-                result = self.mul_idx(result, base)
-            base = self.mul_idx(base, base)
-            e >>= 1
-        return result
 
     # -- identity and notation ------------------------------------------------
 
@@ -279,7 +235,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.index)
+        return self.field.coeff_table[self.index]
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -297,12 +253,12 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.add_idx(self.index, other.index))
+        return FieldElement(self.field, self.field.add_table[self.index][other.index])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg_idx(self.index))
+        return FieldElement(self.field, self.field.neg_table[self.index])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -317,14 +273,14 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_idx(self.index, other.index))
+        return FieldElement(self.field, self.field.mul_table[self.index][other.index])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.index == 0:
             raise DivisionByZero(f"inverse of zero in {self.field!r}")
-        return FieldElement(self.field, self.field.inv_idx(self.index))
+        return FieldElement(self.field, self.field.inv_table[self.index])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -386,6 +342,8 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     if k > MAX_DEGREE:
         raise DegreeMismatch(
             f"extension degree {k} exceeds the supported maximum {MAX_DEGREE}")
+    if p ** k > TABLE_LIMIT:
+        raise FieldTooLarge(f"|F| = {p ** k} exceeds the supported maximum {TABLE_LIMIT}")
     if modulus is None:
         mod = default_modulus(p, k)
     else:
@@ -413,29 +371,6 @@ def parse_field(token: str, modulus: Optional[Sequence[int]] = None) -> FieldSpe
         p_text, k_text = text.split("^", 1)
         return make_field(int(p_text), int(k_text), modulus)
     return make_field(int(text), 1, modulus)
-
-
-def arith(a: FieldElement, b: Optional[FieldElement], op: str) -> FieldElement:
-    """Uniform entry point for the six field operations."""
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    if b is None:
-        raise FieldMismatch(f"binary operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def enumerate_elements(F: FieldSpec) -> list[FieldElement]:
-    return F.elements()
 
 
 def reduce_int_poly(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:

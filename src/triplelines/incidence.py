@@ -4,7 +4,7 @@ The intersection profile of s distinct lines assigns to every point where at
 least two of them meet its multiplicity m (number of arrangement lines through
 it); t_k counts the points with multiplicity exactly k. The combinatorial
 identity C(s,2) = sum_k t_k * C(k,2) holds for every profile by construction
-and is asserted on computation.
+and is checked on computation.
 
 Also houses the field-free view of an arrangement (blocks of concurrent line
 indices) with a backtracking isomorphism test, and the JSON arrangement file
@@ -92,9 +92,9 @@ def profile(A: Arrangement) -> IntersectionProfile:
     tvec: dict[int, int] = {}
     for m in points.values():
         tvec[m] = tvec.get(m, 0) + 1
-    prof = IntersectionProfile(A.s, points, tvec)
-    assert check_identity(A.s, tvec), "pair-count identity violated"
-    return prof
+    if not check_identity(A.s, tvec):
+        raise RuntimeError(f"pair-count identity violated by t-vector {tvec}")
+    return IntersectionProfile(A.s, points, tvec)
 
 
 def check_identity(s: int, tvec: dict) -> bool:
@@ -301,8 +301,17 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
 # arrangement files
 # ---------------------------------------------------------------------------
 
-def _element_to_json(e: FieldElement):
+def element_to_json(e: FieldElement):
+    """An integer in a prime field, a coefficient list in an extension field."""
     return e.index if e.field.k == 1 else list(e.coeffs)
+
+
+def _element_from_json(F: FieldSpec, value) -> FieldElement:
+    # in GF(p^k), k > 1, an integer could mean a constant or an element index
+    if isinstance(value, int) and F.k > 1 and not 0 <= value < F.p:
+        raise ValueError(f"integer coordinate {value} in {F!r} is not a constant "
+                         f"0..{F.p - 1}; write extension elements as coefficient lists")
+    return F.element(value)
 
 
 def field_to_json(F: FieldSpec) -> dict:
@@ -319,7 +328,7 @@ def field_from_json(d: dict) -> FieldSpec:
 def arrangement_to_json(A: Arrangement) -> dict:
     d = {
         "field": field_to_json(A.field),
-        "lines": [[_element_to_json(c) for c in L.coords] for L in A.lines],
+        "lines": [[element_to_json(c) for c in L.coords] for L in A.lines],
     }
     if A.labels:
         d["labels"] = list(A.labels)
@@ -328,7 +337,8 @@ def arrangement_to_json(A: Arrangement) -> dict:
 
 def arrangement_from_json(d: dict) -> Arrangement:
     F = field_from_json(d["field"])
-    lines = [ProjLine(F, [F.element(c) for c in coords]) for coords in d["lines"]]
+    lines = [ProjLine(F, [_element_from_json(F, c) for c in coords])
+             for coords in d["lines"]]
     return Arrangement(F, lines, d.get("labels"))
 
 

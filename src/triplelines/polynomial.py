@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .field import FieldElement, FieldSpec
+from .projective import det3
 
 VARIABLES = ("a", "b", "c", "d")
 
@@ -170,29 +171,10 @@ def poly_ring(variables: Sequence[str]) -> tuple:
     return gens, const
 
 
-def det3_poly(rows: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
-    """Expanded 3x3 determinant of IntPolynomial entries."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def cross_poly(u: Sequence[IntPolynomial], v: Sequence[IntPolynomial]) -> tuple:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def collinearity_poly(P: Sequence[IntPolynomial], Q: Sequence[IntPolynomial],
                       R: Sequence[IntPolynomial]) -> IntPolynomial:
     """Determinant whose vanishing says the three symbolic points are collinear.
 
     Returned with collected terms, content 1 and positive leading coefficient.
     """
-    return det3_poly([P, Q, R]).content_normalized()
-
-
-def concurrency_poly(L1, L2, L3) -> IntPolynomial:
-    """Same determinant applied to line coefficient triples."""
-    return det3_poly([L1, L2, L3]).content_normalized()
+    return det3([P, Q, R]).content_normalized()

@@ -70,19 +70,15 @@ def _check_same_field(a: _Homogeneous, b: _Homogeneous) -> None:
         raise FieldMismatch(f"{a!r} and {b!r} live in different fields")
 
 
-def dot(a: _Homogeneous, b: _Homogeneous) -> FieldElement:
-    _check_same_field(a, b)
-    s = a.field.zero
-    for x, y in zip(a.coords, b.coords):
-        s = s + x * y
-    return s
+# cross, inner and det3 use only + - * and so work on triples over any
+# commutative ring: field elements here, integer polynomials in the scenario
+# derivations of constraints.py
+
+def inner(a: Sequence, b: Sequence):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def incident(P: ProjPoint, L: ProjLine) -> bool:
-    return dot(P, L).is_zero()
-
-
-def _cross(a: Sequence[FieldElement], b: Sequence[FieldElement]):
+def cross(a: Sequence, b: Sequence) -> tuple:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -90,12 +86,26 @@ def _cross(a: Sequence[FieldElement], b: Sequence[FieldElement]):
     )
 
 
+def det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def dot(a: _Homogeneous, b: _Homogeneous) -> FieldElement:
+    _check_same_field(a, b)
+    return inner(a.coords, b.coords)
+
+
+def incident(P: ProjPoint, L: ProjLine) -> bool:
+    return dot(P, L).is_zero()
+
+
 def join(P: ProjPoint, Q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
     _check_same_field(P, Q)
     if P == Q:
         raise IdenticalArguments(f"join of identical points {P!r}")
-    return ProjLine(P.field, _cross(P.coords, Q.coords))
+    return ProjLine(P.field, cross(P.coords, Q.coords))
 
 
 def meet(L1: ProjLine, L2: ProjLine) -> ProjPoint:
@@ -103,12 +113,7 @@ def meet(L1: ProjLine, L2: ProjLine) -> ProjPoint:
     _check_same_field(L1, L2)
     if L1 == L2:
         raise IdenticalArguments(f"meet of identical lines {L1!r}")
-    return ProjPoint(L1.field, _cross(L1.coords, L2.coords))
-
-
-def det3(rows) -> FieldElement:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return ProjPoint(L1.field, cross(L1.coords, L2.coords))
 
 
 def collinear(P: ProjPoint, Q: ProjPoint, R: ProjPoint) -> bool:

@@ -81,6 +81,12 @@ def test_search_cli_rejects_bad_field():
     assert run(["search", "--field", "4", "--lines", "5"]).exit_code == 2
 
 
+def test_field_above_table_limit_exits_two():
+    res = run(["verify", "SMALL_4", "--field", "1031"])
+    assert res.exit_code == 2
+    assert "1031" in res.text
+
+
 def test_search_cli_gf5_seventeen_unreachable():
     res = run(["search", "--field", "5", "--lines", "11", "--target", "17"])
     assert res.exit_code == 1
@@ -143,6 +149,19 @@ def test_export_profile_round_trip(tmp_path):
     # byte-for-byte reproducibility of the t-vector line
     prof2 = run(["profile", str(out)])
     assert prof1.text == prof2.text
+
+
+def test_profile_rejects_ambiguous_integer_in_extension_field(tmp_path):
+    arr = tmp_path / "gf4.json"
+    arr.write_text(json.dumps({"field": {"p": 2, "k": 2},
+                               "lines": [[1, 3, 0], [0, 1, 0], [0, 0, 1]]}))
+    res = run(["profile", str(arr)])
+    assert res.exit_code == 2
+    assert "integer coordinate 3" in res.text
+    # constants 0..p-1 and coefficient lists stay valid
+    arr.write_text(json.dumps({"field": {"p": 2, "k": 2},
+                               "lines": [[1, [1, 1], 0], [0, 1, 0], [0, 0, 1]]}))
+    assert run(["profile", str(arr)]).exit_code == 0
 
 
 def test_profile_csv_table(tmp_path):
