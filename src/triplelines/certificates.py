@@ -378,20 +378,25 @@ def expected_points(cert: Certificate, F: FieldSpec,
     return [(label, ProjPoint(F, coords)) for label, coords in cert.points_fn(F, value)]
 
 
-def verify(cert: Certificate | str, F: FieldSpec,
-           param: Optional[FieldElement] = None) -> VerifyReport:
-    """Recompute profile, points and incidence table; list every mismatch."""
+def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElement]):
+    """The certificate, its resolved parameter, arrangement and labelled points."""
     if isinstance(cert, str):
         cert = builtin(cert)
     value = _resolve_param(cert, F, param) if cert.param else None
-    A = instantiate(cert, F, value)
+    return cert, value, instantiate(cert, F, value), expected_points(cert, F, value)
+
+
+def verify(cert: Certificate | str, F: FieldSpec,
+           param: Optional[FieldElement] = None) -> VerifyReport:
+    """Recompute profile, points and incidence table; list every mismatch."""
+    cert, value, A, pts = _instance(cert, F, param)
     prof = profile(A)
+    expected = dict(sorted(cert.tvec.items()))
     mismatches: list[str] = []
 
-    if prof.tvec != cert.tvec:
-        mismatches.append(f"t-vector {prof.tvec} differs from expected {cert.tvec}")
+    if prof.tvec != expected:
+        mismatches.append(f"t-vector {prof.tvec} differs from expected {expected}")
 
-    pts = expected_points(cert, F, value)
     if pts:
         labels = [label for label, _ in pts]
         by_label = dict(pts)
@@ -408,30 +413,22 @@ def verify(cert: Certificate | str, F: FieldSpec,
                 mismatches.append(f"listed points not of multiplicity >= 3: {spurious}")
 
         if cert.table is not None:
-            lines_by_label = {A.label_of(i): A.lines[i] for i in range(A.s)}
+            tab = incidence_table(A, points=pts)
             for row_label, cols in cert.table.items():
-                line = lines_by_label[row_label]
                 for col_label in labels:
                     expected_cell = col_label in cols
-                    actual_cell = incident(by_label[col_label], line)
+                    actual_cell = tab.cell(row_label, col_label)
                     if expected_cell != actual_cell:
                         mismatches.append(
                             f"cell ({row_label}, {col_label}): expected "
                             f"{'+' if expected_cell else 'blank'}, computed "
                             f"{'+' if actual_cell else 'blank'}")
 
-    return VerifyReport(cert.name, F, value, dict(cert.tvec), dict(prof.tvec),
-                        tuple(mismatches))
+    return VerifyReport(cert.name, F, value, expected, prof.tvec, tuple(mismatches))
 
 
 def certificate_table(cert: Certificate | str, F: FieldSpec,
                       param: Optional[FieldElement] = None) -> IncidenceTable:
     """The recomputed incidence table in the certificate's own labelling."""
-    if isinstance(cert, str):
-        cert = builtin(cert)
-    value = _resolve_param(cert, F, param) if cert.param else None
-    A = instantiate(cert, F, value)
-    pts = expected_points(cert, F, value)
-    if pts:
-        return incidence_table(A, points=pts)
-    return incidence_table(A)
+    _, _, A, pts = _instance(cert, F, param)
+    return incidence_table(A, points=pts or None)

@@ -217,6 +217,7 @@ def _cmd_search(args) -> CommandResult:
         "best": rep.best,
         "target_reached": rep.target_reached,
         "exhaustive": rep.exhaustive,
+        "best_is_maximum": rep.best_is_maximum,
         "nodes_visited": rep.nodes_visited,
         "witnesses": [arrangement_to_json(w) for w in rep.witnesses],
         "notes": list(rep.notes),
@@ -326,9 +327,8 @@ def _cmd_profile(args) -> CommandResult:
     A = load_arrangement(args.file)
     prof = profile(A)
     par = parity_check(A, prof)
-    tvec = dict(sorted(prof.tvec.items()))
     lines = [f"arrangement of s={A.s} lines over {A.field!r}",
-             f"t-vector: {tvec}",
+             f"t-vector: {prof.tvec}",
              f"pair-count identity C(s,2) = sum t_k C(k,2): "
              f"{check_identity(A.s, prof.tvec)}",
              f"per-line identity s-1 = sum (m_i - 1): "
@@ -344,7 +344,7 @@ def _cmd_profile(args) -> CommandResult:
     report = {
         "field": field_to_json(A.field),
         "s": A.s,
-        "tvec": {str(k): v for k, v in tvec.items()},
+        "tvec": {str(k): v for k, v in prof.tvec.items()},
         "identity_holds": check_identity(A.s, prof.tvec),
         "parity_all_pass": par.all_pass,
         "lines_with_only_triple_points": list(par.lines_with_only_triples),

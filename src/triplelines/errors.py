@@ -63,7 +63,3 @@ class NonPrime(TripleLinesError):
 
 class UnsupportedPrime(TripleLinesError):
     pass
-
-
-class BudgetExceeded(TripleLinesError):
-    pass

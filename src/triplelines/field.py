@@ -402,7 +402,3 @@ def roots_of(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:
 def cube_roots_of_unity(F: FieldSpec) -> list[FieldElement]:
     """All x with x^3 = 1; there are three exactly when 3 divides q - 1."""
     return [x for x in F.elements() if (x * x * x) == F.one]
-
-
-def has_nontrivial_cube_root(F: FieldSpec) -> bool:
-    return len(cube_roots_of_unity(F)) == 3

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -64,9 +65,16 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class IntersectionProfile:
+    """The lines through each point where at least two of them meet.
+
+    Points are listed in ascending order and t-vector keys k ascending, so
+    every report built from a profile is deterministic.
+    """
+
     s: int
-    points: dict  # ProjPoint -> multiplicity >= 2
-    tvec: dict    # k -> t_k
+    lines_through: dict  # ProjPoint -> ascending tuple of line indices, >= 2
+    points: dict         # ProjPoint -> multiplicity >= 2
+    tvec: dict           # k -> t_k
 
     def t(self, k: int) -> int:
         return self.tvec.get(k, 0)
@@ -81,20 +89,16 @@ class IntersectionProfile:
 
 
 def profile(A: Arrangement) -> IntersectionProfile:
-    """Group all pairwise meets by point and count multiplicities."""
-    pts = set()
-    for L1, L2 in itertools.combinations(A.lines, 2):
-        pts.add(meet(L1, L2))
-    points = {}
-    for P in pts:
-        m = sum(1 for L in A.lines if incident(P, L))
-        points[P] = m
-    tvec: dict[int, int] = {}
-    for m in points.values():
-        tvec[m] = tvec.get(m, 0) + 1
+    """Collect the two line indices of every pairwise meet at its point."""
+    through: dict[ProjPoint, set[int]] = {}
+    for (i, L1), (j, L2) in itertools.combinations(enumerate(A.lines), 2):
+        through.setdefault(meet(L1, L2), set()).update((i, j))
+    lines_through = {P: tuple(sorted(through[P])) for P in sorted(through)}
+    points = {P: len(ix) for P, ix in lines_through.items()}
+    tvec = dict(sorted(Counter(points.values()).items()))
     if not check_identity(A.s, tvec):
         raise RuntimeError(f"pair-count identity violated by t-vector {tvec}")
-    return IntersectionProfile(A.s, points, tvec)
+    return IntersectionProfile(A.s, lines_through, points, tvec)
 
 
 def check_identity(s: int, tvec: dict) -> bool:
@@ -126,15 +130,19 @@ class ParityReport:
 def parity_check(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> ParityReport:
     """Per-line identity s-1 = sum over its profile points of (m_i - 1)."""
     prof = prof or profile(A)
+    mults = [[] for _ in A.lines]
+    for ix in prof.lines_through.values():
+        for i in ix:
+            mults[i].append(len(ix))
     rows = []
     only_triples = []
-    for i, L in enumerate(A.lines):
-        mults = tuple(sorted(m for P, m in prof.points.items() if incident(P, L)))
-        holds = (A.s - 1) == sum(m - 1 for m in mults)
-        only3 = bool(mults) and all(m == 3 for m in mults)
+    for i, on_line in enumerate(mults):
+        ms = tuple(sorted(on_line))
+        holds = (A.s - 1) == sum(m - 1 for m in ms)
+        only3 = bool(ms) and all(m == 3 for m in ms)
         if only3:
             only_triples.append(A.label_of(i))
-        rows.append(LineParity(A.label_of(i), mults, holds, only3))
+        rows.append(LineParity(A.label_of(i), ms, holds, only3))
     return ParityReport(A.s, tuple(rows), all(r.identity_holds for r in rows),
                         tuple(only_triples))
 
@@ -168,16 +176,19 @@ def table(A: Arrangement, points: Optional[Sequence[tuple[str, ProjPoint]]] = No
           min_multiplicity: int = 2) -> IncidenceTable:
     """Incidence table of the arrangement against its profile points.
 
-    Columns default to all points of multiplicity >= min_multiplicity in a
-    deterministic order; callers may pass labelled points instead.
+    Columns default to all points of multiplicity >= min_multiplicity in
+    ascending order, read from the profile; callers may pass labelled points
+    instead, which are tested against every line.
     """
-    if points is None:
-        prof = profile(A) if A.s >= 2 else IntersectionProfile(A.s, {}, {})
-        chosen = sorted((P for P, m in prof.points.items() if m >= min_multiplicity))
-        points = [(f"P{j + 1}", P) for j, P in enumerate(chosen)]
     row_labels = tuple(A.label_of(i) for i in range(A.s))
-    col_labels = tuple(label for label, _ in points)
-    cells = tuple(tuple(incident(P, L) for _, P in points) for L in A.lines)
+    if points is None:
+        columns = [ix for ix in profile(A).lines_through.values()
+                   if len(ix) >= min_multiplicity]
+        col_labels = tuple(f"P{j + 1}" for j in range(len(columns)))
+        cells = tuple(tuple(i in ix for ix in columns) for i in range(A.s))
+    else:
+        col_labels = tuple(label for label, _ in points)
+        cells = tuple(tuple(incident(P, L) for _, P in points) for L in A.lines)
     return IncidenceTable(row_labels, col_labels, cells)
 
 
@@ -225,11 +236,8 @@ class AbstractIncidence:
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:
     prof = prof or profile(A)
-    blocks = []
-    for P in sorted(prof.points):
-        blocks.append(frozenset(i for i, L in enumerate(A.lines) if incident(P, L)))
-    blocks.sort(key=lambda b: (len(b), sorted(b)))
-    return AbstractIncidence(A.s, tuple(blocks))
+    ordered = sorted(prof.lines_through.values(), key=lambda ix: (len(ix), ix))
+    return AbstractIncidence(A.s, tuple(frozenset(ix) for ix in ordered))
 
 
 def _line_signature(X: AbstractIncidence) -> list[tuple]:

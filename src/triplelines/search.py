@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .errors import BudgetExceeded
 from .field import FieldSpec, make_field
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
 from .projective import ProjLine, as_line, enumerate_lines, enumerate_points, incident
@@ -61,8 +60,6 @@ class SearchConfig:
     metric: str = "exact3"            # "exact3" | "atleast3"
     normalize_frame: bool = True
     max_nodes: int = 10 ** 9
-    witness_cap: int = 10
-    strict: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -78,18 +75,24 @@ class SearchReport:
     witnesses: list
     nodes_visited: int
     exhaustive: bool
+    best_is_maximum: bool   # exhaustive and not pruned against a target
     target_reached: bool
     notes: tuple
 
     def summary(self) -> str:
         bits = [f"best={self.best}", f"nodes={self.nodes_visited}",
-                f"exhaustive={self.exhaustive}"]
+                f"exhaustive={self.exhaustive}",
+                "proven maximum" if self.best_is_maximum
+                else "best found, not a proven maximum"]
         if self.target_reached:
             bits.append("target reached")
         return ", ".join(bits)
 
 
 FRAME_COORDS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+# witness classes kept per report; the search keeps four times as many raw witnesses
+WITNESS_CAP = 10
 
 
 def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
@@ -187,7 +190,7 @@ class _Searcher:
         if count > self.best:
             self.best = count
             self.witnesses = [tuple(self.chosen)]
-        elif count == self.best and len(self.witnesses) < 4 * self.cfg.witness_cap:
+        elif count == self.best and len(self.witnesses) < 4 * WITNESS_CAP:
             self.witnesses.append(tuple(self.chosen))
         if self.cfg.target is not None and count >= self.cfg.target:
             self.stop = True
@@ -248,7 +251,7 @@ def max_triple_search(cfg: SearchConfig,
         notes.append(f"PG(2,{cfg.field.order}) has only {n_lines} lines; "
                      f"no arrangement of s={cfg.s} exists")
         notes.append("per-field evidence: results hold for this ground field only")
-        return SearchReport(0, [], 0, True, False, tuple(notes))
+        return SearchReport(0, [], 0, True, cfg.target is None, False, tuple(notes))
 
     use_frame = cfg.normalize_frame and cfg.s >= 5
     if cfg.normalize_frame and cfg.s < 5:
@@ -276,7 +279,7 @@ def max_triple_search(cfg: SearchConfig,
         field_args = (cfg.field.p, cfg.field.k, list(cfg.field.modulus))
         cfg_args = dict(s=cfg.s, target=cfg.target, metric=cfg.metric,
                         normalize_frame=cfg.normalize_frame, max_nodes=cfg.max_nodes,
-                        witness_cap=cfg.witness_cap, strict=False, threads=1)
+                        threads=1)
         per_branch_budget = max(1, cfg.max_nodes // max(1, last + 1))
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool_exec:
             futures = [
@@ -299,9 +302,6 @@ def max_triple_search(cfg: SearchConfig,
         nodes = searcher.nodes
         budget_hit = searcher.budget_hit
         target_stop = searcher.stop
-
-    if budget_hit and cfg.strict:
-        raise BudgetExceeded(f"node budget {cfg.max_nodes} exhausted")
 
     if best < 0:
         best = 0
@@ -331,7 +331,7 @@ def max_triple_search(cfg: SearchConfig,
             continue
         seen_classes.append(cls)
         witnesses.append(A)
-        if len(witnesses) >= cfg.witness_cap:
+        if len(witnesses) >= WITNESS_CAP:
             break
 
     target_reached = cfg.target is not None and best >= cfg.target
@@ -339,7 +339,8 @@ def max_triple_search(cfg: SearchConfig,
     if target_stop:
         notes.append("stopped early after reaching the target")
     notes.append("per-field evidence: results hold for this ground field only")
-    return SearchReport(best, witnesses, nodes, exhaustive, target_reached, tuple(notes))
+    return SearchReport(best, witnesses, nodes, exhaustive,
+                        exhaustive and cfg.target is None, target_reached, tuple(notes))
 
 
 def dual_search_seed(A: Arrangement, min_multiplicity: int = 2) -> Arrangement:
@@ -351,7 +352,7 @@ def dual_search_seed(A: Arrangement, min_multiplicity: int = 2) -> Arrangement:
     the construction is a seed, not an exact involution.
     """
     prof = profile(A)
-    chosen = sorted(P for P, m in prof.points.items() if m >= min_multiplicity)
+    chosen = [P for P, m in prof.points.items() if m >= min_multiplicity]
     if not chosen:
         raise ValueError(f"no intersection points of multiplicity >= {min_multiplicity}")
     return Arrangement(A.field, [as_line(P) for P in chosen])

@@ -1,12 +1,17 @@
 """CLI behaviour: exit codes, round trips, report schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import triplelines
 from triplelines.cli import run
 
 
@@ -92,6 +97,40 @@ def test_search_cli_gf5_seventeen_unreachable():
     assert res.exit_code == 1
     assert res.report["best"] <= 16
     assert res.report["exhaustive"] and not res.report["target_reached"]
+
+
+def test_target_search_does_not_claim_a_maximum(tmp_path):
+    # pruning against an unreachable target proves nothing about the maximum
+    out = tmp_path / "search.json"
+    res = run(["search", "--field", "5", "--lines", "10", "--target", "20",
+               "--out", str(out)])
+    assert res.exit_code == 1
+    report = json.loads(out.read_text())
+    _validate(report, "search_report.schema.json")
+    assert report["exhaustive"] and not report["best_is_maximum"]
+    assert "not a proven maximum" in res.text
+    full = run(["search", "--field", "5", "--lines", "10"])
+    assert full.report["best"] == 13 and full.report["best_is_maximum"]
+    assert "proven maximum" in full.text and "not a proven" not in full.text
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    src = Path(triplelines.__file__).resolve().parent.parent
+
+    def outputs(seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+        runs = [["export", "TEN_E1", "--field", "2^2", "--out", "e1.json"],
+                ["verify", "TEN_E1", "--field", "2^2", "--json", "v.json"],
+                ["profile", "e1.json", "--json", "p.json"]]
+        texts = [subprocess.run([sys.executable, "-m", "triplelines.cli", *argv],
+                                cwd=tmp_path, env=env, capture_output=True,
+                                text=True, check=True).stdout
+                 for argv in runs]
+        return texts, (tmp_path / "v.json").read_bytes(), (tmp_path / "p.json").read_bytes()
+
+    first = outputs(1)
+    assert outputs(2) == first
+    assert b'"tvec_actual": {\n    "2": 3,\n    "3": 12,\n    "4": 1\n  }' in first[1]
 
 
 def test_constraints_cli_single_field(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from triplelines.incidence import (
     save_arrangement,
     table,
 )
-from triplelines.projective import ProjLine, enumerate_lines
+from triplelines.projective import ProjLine, enumerate_lines, incident, meet
 
 
 def lines_of(F, coords):
@@ -61,6 +62,46 @@ def test_profile_matches_plane_scan_oracle(gf5, rng):
         for _ in range(20):
             A = random_arrangement(gf5, s, rng)
             assert profile(A).tvec == brute_force_tvec(A)
+
+
+def _all_pairs_oracle(A):
+    """Lines through each meet, parity rows and blocks, by testing every
+    meet against every line."""
+    through = {}
+    for L1, L2 in itertools.combinations(A.lines, 2):
+        P = meet(L1, L2)
+        through[P] = frozenset(i for i, L in enumerate(A.lines) if incident(P, L))
+    points = {P: len(b) for P, b in through.items()}
+    mults = [tuple(sorted(m for P, m in points.items() if incident(P, L)))
+             for L in A.lines]
+    blocks = sorted(through.values(), key=lambda b: (len(b), sorted(b)))
+    return through, mults, tuple(blocks)
+
+
+def _oracle_corpus(rng):
+    for F in (make_field(5), make_field(3, 2), make_field(2, 4)):
+        for s in range(1, 13):
+            for _ in range(3):
+                yield random_arrangement(F, s, rng)
+    F = make_field(5)
+    pencil = [(1, c, 0) for c in range(5)] + [(0, 1, 0)]   # all six through (0:0:1)
+    yield Arrangement(F, lines_of(F, pencil))
+    yield Arrangement(F, lines_of(F, pencil[:5] + [(0, 0, 1)]))   # a near-pencil
+
+
+def test_profile_parity_abstract_match_all_pairs_oracle(rng):
+    for A in _oracle_corpus(rng):
+        through, mults, blocks = _all_pairs_oracle(A)
+        points = {P: len(b) for P, b in through.items()}
+        prof = profile(A)
+        assert {P: frozenset(ix) for P, ix in prof.lines_through.items()} == through
+        assert prof.points == points
+        assert list(prof.points) == sorted(points)
+        assert list(prof.tvec) == sorted(prof.tvec)
+        assert prof.tvec == dict(Counter(points.values()))
+        assert [r.point_multiplicities for r in parity_check(A, prof).rows] == mults
+        assert abstract(A, prof).blocks == blocks
+        assert table(A).column_sums() == tuple(points[P] for P in sorted(points))
 
 
 def test_single_line_profile(gf5):
