@@ -382,7 +382,7 @@ def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElemen
     """The certificate, its resolved parameter, arrangement and labelled points."""
     if isinstance(cert, str):
         cert = builtin(cert)
-    value = _resolve_param(cert, F, param) if cert.param else None
+    value = _resolve_param(cert, F, param)
     return cert, value, instantiate(cert, F, value), expected_points(cert, F, value)
 
 

@@ -172,18 +172,17 @@ class IncidenceTable:
         return "\n".join(lines) + "\n"
 
 
-def table(A: Arrangement, points: Optional[Sequence[tuple[str, ProjPoint]]] = None,
-          min_multiplicity: int = 2) -> IncidenceTable:
+def table(A: Arrangement,
+          points: Optional[Sequence[tuple[str, ProjPoint]]] = None) -> IncidenceTable:
     """Incidence table of the arrangement against its profile points.
 
-    Columns default to all points of multiplicity >= min_multiplicity in
-    ascending order, read from the profile; callers may pass labelled points
-    instead, which are tested against every line.
+    Columns default to all intersection points in ascending order, read from
+    the profile; callers may pass labelled points instead, which are tested
+    against every line.
     """
     row_labels = tuple(A.label_of(i) for i in range(A.s))
     if points is None:
-        columns = [ix for ix in profile(A).lines_through.values()
-                   if len(ix) >= min_multiplicity]
+        columns = list(profile(A).lines_through.values())
         col_labels = tuple(f"P{j + 1}" for j in range(len(columns)))
         cells = tuple(tuple(i in ix for ix in columns) for i in range(A.s))
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .field import FieldSpec, make_field
+from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
 from .projective import ProjLine, as_line, enumerate_lines, enumerate_points, incident
 
@@ -67,6 +67,10 @@ class SearchConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.s < 1:
             raise ValueError("s must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be positive")
+        if self.max_nodes < 0:
+            raise ValueError("max_nodes must be non-negative")
 
 
 @dataclass
@@ -117,18 +121,19 @@ def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
 
 
 class _Searcher:
+    """Incremental search state with the fixed lines applied once; branch()
+    explores one first-choice subtree and leaves the state as it found it."""
+
     def __init__(self, cfg: SearchConfig, plane: Plane, candidates: list[int],
-                 fixed: list[int], node_budget: int, best_floor: int):
+                 fixed: list[int]):
         self.cfg = cfg
         self.plane = plane
         self.candidates = candidates
-        self.fixed = fixed
-        self.node_budget = node_budget
-        self.q1 = cfg.field.order + 1          # points per line
+        q1 = cfg.field.order + 1               # points per line
         s = cfg.s
         self.cap_suffix = [0] * (s + 1)
         for k in range(s - 1, -1, -1):
-            self.cap_suffix[k] = self.cap_suffix[k + 1] + min(k // 2, self.q1)
+            self.cap_suffix[k] = self.cap_suffix[k + 1] + min(k // 2, q1)
         self.pairs_total = comb(s, 2)
         self.exact = cfg.metric == "exact3"
 
@@ -136,11 +141,9 @@ class _Searcher:
         self.chosen: list[int] = []
         self.t3 = 0
         self.d2 = 0
-        self.nodes = 0
-        self.best = best_floor
-        self.witnesses: list[tuple] = []       # (sorted line ids)
-        self.budget_hit = False
-        self.stop = False
+        self.best = -1
+        for line_id in fixed:
+            self._apply(line_id)
 
     # -- incremental state ---------------------------------------------------
 
@@ -171,19 +174,25 @@ class _Searcher:
             elif c == 4 and exact:
                 self.t3 += 1
 
-    def _bound(self) -> int:
-        k = len(self.chosen)
-        budget = self.pairs_total - comb(k, 2)
-        promos = min(self.d2, budget // 2)
-        extra = promos + (budget - 2 * promos) // 3
-        return self.t3 + min(self.cap_suffix[k], extra)
-
     # -- main recursion --------------------------------------------------------
 
-    def run(self) -> None:
-        for line_id in self.fixed:
-            self._apply(line_id)
-        self._extend(0)
+    def branch(self, first: int, node_budget: int, best_floor: int) -> tuple:
+        """Explore the subtree whose first chosen candidate is candidates[first].
+
+        Returns (best, witnesses, nodes, budget_hit, stopped): best is at
+        least best_floor and the witnesses are visited leaves that reach it.
+        """
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.best = best_floor
+        self.witnesses: list[tuple] = []       # (sorted line ids)
+        self.budget_hit = False
+        self.stop = False
+        line_id = self.candidates[first]
+        self._apply(line_id)
+        self._extend(first + 1)
+        self._undo(line_id)
+        return self.best, self.witnesses, self.nodes, self.budget_hit, self.stop
 
     def _record(self) -> None:
         count = self.t3
@@ -206,12 +215,9 @@ class _Searcher:
         if k == self.cfg.s:
             self._record()
             return
-        bound = self.bound_ok()
-        if not bound:
+        if not self.bound_ok():
             return
-        remaining_needed = self.cfg.s - k
-        last = len(self.candidates) - remaining_needed
-        for idx in range(start, last + 1):
+        for idx in range(start, len(self.candidates) - (self.cfg.s - k) + 1):
             line_id = self.candidates[idx]
             self._apply(line_id)
             self._extend(idx + 1)
@@ -222,28 +228,30 @@ class _Searcher:
     def bound_ok(self) -> bool:
         # with a target, prune everything that provably stays below it;
         # otherwise keep any branch that can still tie the incumbent
+        k = len(self.chosen)
+        budget = self.pairs_total - comb(k, 2)
+        promos = min(self.d2, budget // 2)
+        extra = promos + (budget - 2 * promos) // 3
         limit = self.cfg.target if self.cfg.target is not None else self.best
-        return self._bound() >= limit
+        return self.t3 + min(self.cap_suffix[k], extra) >= limit
 
 
-def _run_branch(field_args: tuple, cfg_args: dict, fixed: list[int],
-                candidates: list[int], first_idx: int, node_budget: int,
-                best_floor: int) -> tuple:
-    """Worker entry: explore the branch rooted at one first-choice line."""
-    field = make_field(*field_args)
-    cfg = SearchConfig(field=field, **cfg_args)
-    plane = Plane.of(field)
-    searcher = _Searcher(cfg, plane, candidates, fixed, node_budget, best_floor)
-    for line_id in fixed:
-        searcher._apply(line_id)
-    searcher._apply(candidates[first_idx])
-    searcher._extend(first_idx + 1)
-    return searcher.best, searcher.witnesses, searcher.nodes, searcher.budget_hit, searcher.stop
+def _pool_branch(cfg: SearchConfig, candidates: list[int], fixed: list[int],
+                 first: int) -> tuple:
+    """Worker entry: one branch with no incumbent and the whole node budget."""
+    searcher = _Searcher(cfg, Plane.of(cfg.field), candidates, fixed)
+    return searcher.branch(first, cfg.max_nodes, -1)
 
 
 def max_triple_search(cfg: SearchConfig,
                       candidate_order: Optional[list[int]] = None) -> SearchReport:
-    """Maximize the triple-point count over s-line subsets of PG(2,q)."""
+    """Maximize the triple-point count over s-line subsets of PG(2,q).
+
+    The tree below the fixed lines has one branch per first chosen candidate.
+    Branches run here with the remaining budget and the incumbent, or on
+    worker processes; a worker result that overruns the remaining budget is
+    recomputed here. Results merge in branch order in both modes.
+    """
     plane = Plane.of(cfg.field)
     notes = []
     n_lines = len(plane.lines)
@@ -270,42 +278,35 @@ def max_triple_search(cfg: SearchConfig,
     if candidate_order is not None:
         pool = [i for i in candidate_order if i in set(pool)]
 
-    best_floor = -1
+    searcher = _Searcher(cfg, plane, pool, fixed)
+    best, witness_ids, nodes, target_stop = -1, [], 1, False
+    budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
+    branches = len(pool) - (cfg.s - len(fixed)) + 1
+    if not budget_hit and searcher.bound_ok() and branches > 0:
+        executor, futures = None, []
+        if cfg.threads > 1:
+            executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
+            futures = [executor.submit(_pool_branch, cfg, pool, fixed, first)
+                       for first in range(branches)]
+        try:
+            for first in range(branches):
+                remaining = cfg.max_nodes - nodes
+                result = futures[first].result() if futures else None
+                if result is None or result[2] > remaining:
+                    result = searcher.branch(first, remaining, best)
+                branch_best, branch_witnesses, branch_nodes, budget_hit, target_stop = result
+                if branch_best > best:
+                    best, witness_ids = branch_best, branch_witnesses
+                elif branch_best == best:
+                    witness_ids = (witness_ids + branch_witnesses)[:4 * WITNESS_CAP]
+                nodes += branch_nodes
+                if budget_hit or target_stop:
+                    break
+        finally:
+            if executor is not None:
+                executor.shutdown(cancel_futures=True)
 
-    if cfg.threads > 1 and cfg.s > len(fixed):
-        reports = []
-        remaining_needed = cfg.s - len(fixed) - 1
-        last = len(pool) - 1 - remaining_needed
-        field_args = (cfg.field.p, cfg.field.k, list(cfg.field.modulus))
-        cfg_args = dict(s=cfg.s, target=cfg.target, metric=cfg.metric,
-                        normalize_frame=cfg.normalize_frame, max_nodes=cfg.max_nodes,
-                        threads=1)
-        per_branch_budget = max(1, cfg.max_nodes // max(1, last + 1))
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool_exec:
-            futures = [
-                pool_exec.submit(_run_branch, field_args, cfg_args, fixed, pool,
-                                 first, per_branch_budget, best_floor)
-                for first in range(last + 1)
-            ]
-            for fut in futures:
-                reports.append(fut.result())
-        best = max((r[0] for r in reports), default=-1)
-        witness_ids = [w for r in reports if r[0] == best for w in r[1]]
-        nodes = sum(r[2] for r in reports) + 1
-        budget_hit = any(r[3] for r in reports)
-        target_stop = any(r[4] for r in reports)
-    else:
-        searcher = _Searcher(cfg, plane, pool, fixed, cfg.max_nodes, best_floor)
-        searcher.run()
-        best = searcher.best
-        witness_ids = searcher.witnesses
-        nodes = searcher.nodes
-        budget_hit = searcher.budget_hit
-        target_stop = searcher.stop
-
-    if best < 0:
-        best = 0
-        witness_ids = []
+    best = max(best, 0)                    # -1: no leaf visited, witness_ids is empty
 
     # arrangements outside the frame-normalized space
     if use_frame:

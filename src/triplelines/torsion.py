@@ -11,6 +11,7 @@ by enumeration and cross-checked against the closed forms.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -104,13 +105,11 @@ def torsion_dual_counts(p: int) -> TorsionDualCounts:
     t3 = len(model.secant_blocks)
     t2 = len(model.tangent_pairs)
 
-    def lines_through(X) -> int:
-        blocks = sum(1 for b in model.secant_blocks if X in b)
-        pairs = sum(1 for pr in model.tangent_pairs if X in pr)
-        return blocks + pairs
-
-    through_zero = lines_through((0, 0))
-    nonzero_counts = {lines_through(X) for X in model.points if X != (0, 0)}
+    # dual points on the dual line of X: the blocks and pairs containing X
+    lines_through = Counter(X for group in model.secant_blocks + model.tangent_pairs
+                            for X in group)
+    through_zero = lines_through[(0, 0)]
+    nonzero_counts = {lines_through[X] for X in model.points if X != (0, 0)}
     if len(nonzero_counts) != 1:
         raise AssertionError("nonzero torsion points see different line counts")
     through_nonzero = nonzero_counts.pop()

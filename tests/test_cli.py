@@ -54,6 +54,12 @@ def test_verify_exit_codes():
     assert run(["verify", "NOPE", "--field", "5"]).exit_code == 2
 
 
+def test_verify_rejects_param_of_parameterless_certificate():
+    res = run(["verify", "TEN_E2", "--field", "5", "--param", "2"])
+    assert res.exit_code == 2
+    assert "takes no parameter" in res.text
+
+
 def test_verify_report_schema(tmp_path):
     out = tmp_path / "verify.json"
     res = run(["verify", "ELEVEN_16", "--field", "11", "--param", "7",
@@ -84,6 +90,9 @@ def test_search_cli_success():
 
 def test_search_cli_rejects_bad_field():
     assert run(["search", "--field", "4", "--lines", "5"]).exit_code == 2
+    base = ["search", "--field", "5", "--lines", "8"]
+    assert run(base + ["--threads", "0"]).exit_code == 2
+    assert run(base + ["--max-nodes", "-1"]).exit_code == 2
 
 
 def test_field_above_table_limit_exits_two():

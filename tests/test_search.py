@@ -6,7 +6,13 @@ from conftest import brute_force_best_triples
 
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
 from triplelines.field import make_field
-from triplelines.incidence import Arrangement, abstract, isomorphic, profile
+from triplelines.incidence import (
+    Arrangement,
+    abstract,
+    arrangement_to_json,
+    isomorphic,
+    profile,
+)
 from triplelines.projective import enumerate_lines
 from triplelines.search import (
     Plane,
@@ -181,11 +187,45 @@ def test_node_budget_marks_report_non_exhaustive(gf5):
     assert not rep.exhaustive and not rep.best_is_maximum
 
 
-def test_threads_match_sequential(gf3):
-    seq = max_triple_search(SearchConfig(field=gf3, s=7, normalize_frame=False))
-    par = max_triple_search(SearchConfig(field=gf3, s=7, normalize_frame=False,
-                                         threads=2))
-    assert seq.best == par.best
+def test_config_rejects_meaningless_settings(gf5):
+    with pytest.raises(ValueError, match="threads"):
+        SearchConfig(field=gf5, s=8, threads=0)
+    with pytest.raises(ValueError, match="max_nodes"):
+        SearchConfig(field=gf5, s=8, max_nodes=-1)
+
+
+def _run_both(F, **kwargs):
+    return [max_triple_search(SearchConfig(field=F, threads=t, **kwargs)) for t in (1, 2)]
+
+
+def test_threads_match_sequential(gf3, gf5):
+    # GF(5), s=8, atleast3 ties on more raw witnesses than the search keeps
+    for F, kwargs in ((gf3, dict(s=7, normalize_frame=False)),
+                      (gf5, dict(s=8, metric="atleast3"))):
+        seq, par = _run_both(F, **kwargs)
+        assert seq.best == par.best
+        assert seq.exhaustive and par.exhaustive
+        assert ([arrangement_to_json(w) for w in seq.witnesses]
+                == [arrangement_to_json(w) for w in par.witnesses])
+
+
+@pytest.mark.parametrize("s, target, max_nodes", [
+    (10, 13, 10 ** 9),          # stops on the target
+    (11, 17, 1000),             # budget spent inside the first branch
+    (11, 17, 55860),            # budget spent on the very last node
+    (11, 17, 55861),            # exhaustive with no node to spare
+])
+def test_threads_agree_with_target(gf5, s, target, max_nodes):
+    seq, par = _run_both(gf5, s=s, target=target, max_nodes=max_nodes)
+    for rep in (seq, par):
+        assert rep.nodes_visited <= max_nodes + 1
+    assert ((seq.best, seq.nodes_visited, seq.exhaustive, seq.target_reached)
+            == (par.best, par.nodes_visited, par.exhaustive, par.target_reached))
+
+
+def test_pool_respects_node_budget(gf5):
+    par = max_triple_search(SearchConfig(field=gf5, s=8, max_nodes=50, threads=2))
+    assert par.nodes_visited <= 51 and not par.exhaustive
 
 
 def test_threads_with_frame_normalization(gf5):
