@@ -303,7 +303,7 @@ def _cmd_torsion(args) -> CommandResult:
         "special_case": model.special_case,
     }
     if args.dual:
-        counts = torsion_dual_counts(args.p)
+        counts = torsion_dual_counts(model)
         lines.append(
             f"dual: {counts.lines} lines, t3={counts.t3}, t2={counts.t2}; "
             f"{counts.points_on_dual_of_zero} points on the dual of 0, "

@@ -140,13 +140,47 @@ def as_point(L: ProjLine) -> ProjPoint:
 def _enumerate_triples(F: FieldSpec):
     one = F.one
     elems = F.elements()
-    # normalized representatives in lexicographic coordinate order
+    # normalized representatives in lexicographic coordinate order; with
+    # coordinates read as element indices, (0:0:1) comes first, (0:1:z) has
+    # position 1 + z and (1:y:z) position 1 + q + q*y + z
     out = [(F.zero, F.zero, one)]
     for c in elems:
         out.append((F.zero, one, c))
     for b in elems:
         for c in elems:
             out.append((one, b, c))
+    return out
+
+
+def line_point_indices(F: FieldSpec) -> list[tuple[int, ...]]:
+    """For each line in enumerate_lines(F) order, the ascending positions of
+    its q + 1 points in enumerate_points(F).
+
+    Each normalized line [a:b:c] is solved directly over the field tables
+    (a, b, c, y, z are element indices), O(q) per line:
+      (0:0:1) lies on it iff c = 0;
+      (0:1:z) iff b + c*z = 0: z = -b/c if c != 0, every z if b = c = 0;
+      (1:y:z) iff a + b*y + c*z = 0: z = -(a + b*y)/c for every y if c != 0,
+      y = -a/b with every z if c = 0 and b != 0.
+    """
+    q = F.order
+    add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
+    # one int object per point position, shared by all lines through it
+    position = list(range(q * q + q + 1))
+    affine = [position[1 + q + q * y:1 + 2 * q + q * y] for y in range(q)]
+    out = []
+    for L in _enumerate_triples(F):
+        a, b, c = (e.index for e in L)
+        if c:
+            minus_inv_c = mul[neg[inv[c]]]
+            by, a_plus = mul[b], add[a]
+            pts = [position[1 + minus_inv_c[b]]]
+            pts.extend(row[minus_inv_c[a_plus[by[y]]]] for y, row in enumerate(affine))
+        elif b:
+            pts = [0, *affine[mul[neg[a]][inv[b]]]]
+        else:
+            pts = position[:q + 1]
+        out.append(tuple(pts))
     return out
 
 

@@ -25,11 +25,22 @@ from typing import Optional
 
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
-from .projective import ProjLine, as_line, enumerate_lines, enumerate_points, incident
+from .projective import (
+    ProjLine,
+    as_line,
+    enumerate_lines,
+    enumerate_points,
+    line_point_indices,
+)
 
 
 class Plane:
-    """Cached incidence data of PG(2,q): lines as tuples of point indices."""
+    """Cached incidence data of PG(2,q): lines as tuples of point indices.
+
+    The incidence comes from the parametrization of each line over the field
+    tables (projective.line_point_indices): O(q^3) index lookups, with no
+    point-line dot products.
+    """
 
     _cache: dict = {}
 
@@ -37,11 +48,7 @@ class Plane:
         self.field = field
         self.points = enumerate_points(field)
         self.lines = enumerate_lines(field)
-        point_index = {P: i for i, P in enumerate(self.points)}
-        self.line_points = [
-            tuple(point_index[P] for P in self.points if incident(P, L))
-            for L in self.lines
-        ]
+        self.line_points = line_point_indices(field)
         self.line_index = {L: i for i, L in enumerate(self.lines)}
 
     @classmethod
@@ -269,14 +276,16 @@ def max_triple_search(cfg: SearchConfig,
     fixed: list[int] = []
     if use_frame:
         fixed = [plane.line_index[ProjLine(cfg.field, c)] for c in FRAME_COORDS]
-        pool = [i for i in range(n_lines) if i not in set(fixed)]
+        fixed_set = set(fixed)
+        pool = [i for i in range(n_lines) if i not in fixed_set]
         notes.append("frame normalization on: search restricted to arrangements "
                      "through x, y, z, x+y+z (covers every arrangement with four "
                      "lines in general position up to projectivity)")
     else:
         pool = list(range(n_lines))
     if candidate_order is not None:
-        pool = [i for i in candidate_order if i in set(pool)]
+        pool_set = set(pool)
+        pool = [i for i in candidate_order if i in pool_set]
 
     searcher = _Searcher(cfg, plane, pool, fixed)
     best, witness_ids, nodes, target_stop = -1, [], 1, False
@@ -326,7 +335,7 @@ def max_triple_search(cfg: SearchConfig,
         A = Arrangement(cfg.field, [plane.lines[i] for i in sorted(ids)])
         prof = profile(A)
         if prof.triple_count(cfg.metric) != best:
-            raise AssertionError("unsound witness escaped the search")
+            raise RuntimeError("unsound witness escaped the search")
         cls = abstract(A, prof)
         if any(isomorphic(cls, c) for c in seen_classes):
             continue

@@ -92,15 +92,20 @@ class TorsionDualCounts:
                 and self.gap == (q - 1) // 3)
 
 
-def torsion_dual_counts(p: int) -> TorsionDualCounts:
-    """Dualize the model: points become lines, blocks/pairs become points."""
+def torsion_dual_counts(model: TorsionModel | int) -> TorsionDualCounts:
+    """Dualize the model: points become lines, blocks/pairs become points.
+
+    Takes a built model, or the prime p to build it from.
+    """
+    if not isinstance(model, TorsionModel):
+        model = torsion_model(model)
+    p = model.p
     if p == 3:
         raise UnsupportedPrime(
             "p = 3 degenerates (the triple-point count (p^2-1)(p^2-2)/6 is not "
             "an integer and -2X = X); this is the nine-point dozen-line special case")
-    model = torsion_model(p)
     if not linearity_check(model):
-        raise AssertionError("torsion model is not a partial linear space")
+        raise RuntimeError("torsion model is not a partial linear space")
     q = p ** 2
     t3 = len(model.secant_blocks)
     t2 = len(model.tangent_pairs)
@@ -111,7 +116,7 @@ def torsion_dual_counts(p: int) -> TorsionDualCounts:
     through_zero = lines_through[(0, 0)]
     nonzero_counts = {lines_through[X] for X in model.points if X != (0, 0)}
     if len(nonzero_counts) != 1:
-        raise AssertionError("nonzero torsion points see different line counts")
+        raise RuntimeError("nonzero torsion points see different line counts")
     through_nonzero = nonzero_counts.pop()
 
     identity = comb(q, 2) == 3 * t3 + t2

@@ -1,5 +1,8 @@
 """Search correctness: oracles, published optima, soundness, pruning honesty."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import brute_force_best_triples
@@ -13,7 +16,7 @@ from triplelines.incidence import (
     isomorphic,
     profile,
 )
-from triplelines.projective import enumerate_lines
+from triplelines.projective import enumerate_lines, enumerate_points, incident
 from triplelines.search import (
     Plane,
     SearchConfig,
@@ -248,6 +251,37 @@ def test_plane_cache_counts(gf5):
     plane = Plane.of(gf5)
     assert len(plane.lines) == 31
     assert all(len(pts) == 6 for pts in plane.line_points)
+
+
+def _scanned_line_points(plane, lines):
+    # oracle: test every plane point against the line with a dot product
+    return [tuple(i for i, P in enumerate(plane.points) if incident(P, L))
+            for L in lines]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (2, 4)])
+def test_plane_incidence_matches_point_line_scan(p, k):
+    plane = Plane.of(make_field(p, k))
+    assert plane.points == enumerate_points(plane.field)
+    assert plane.lines == enumerate_lines(plane.field)
+    assert plane.line_points == _scanned_line_points(plane, plane.lines)
+    assert all(plane.line_index[L] == i for i, L in enumerate(plane.lines))
+
+
+def test_plane_structure_gf81():
+    F = make_field(3, 4)
+    plane = Plane.of(F)
+    q = F.order
+    assert len(plane.points) == len(plane.lines) == q * q + q + 1 == 6643
+    for pts in plane.line_points:
+        assert len(pts) == q + 1
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+    assert Counter(p for pts in plane.line_points for p in pts) == \
+        {i: q + 1 for i in range(len(plane.points))}
+    sample = random.Random(81).sample(range(len(plane.lines)), 8)
+    assert [plane.line_points[i] for i in sample] == \
+        _scanned_line_points(plane, [plane.lines[i] for i in sample])
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,28 @@ from pathlib import Path
 import triplelines
 
 
-def test_no_assert_statements_in_package():
-    # invariants must raise explicitly: `python -O` strips assert statements
-    found = []
+def _package_nodes():
     for path in sorted(Path(triplelines.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                     if isinstance(node, ast.Assert))
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_no_assert_statements_in_package():
+    # invariants must raise explicitly: `python -O` strips assert statements
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_hand_raised_assertion_errors_in_package():
+    # broken invariants raise RuntimeError; AssertionError belongs to tests
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised_name(node) == "AssertionError"]
     assert found == []

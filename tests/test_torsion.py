@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import triplelines.cli
+import triplelines.torsion
 from triplelines.errors import NonPrime, UnsupportedPrime
 from triplelines.torsion import (
     TorsionModel,
@@ -84,6 +86,25 @@ def test_dual_counts_p7():
 def test_dual_counts_reject_p3():
     with pytest.raises(UnsupportedPrime):
         torsion_dual_counts(3)
+    with pytest.raises(UnsupportedPrime):
+        torsion_dual_counts(torsion_model(3))
+
+
+def test_dual_counts_of_a_built_model_match_the_prime():
+    assert torsion_dual_counts(torsion_model(7)) == torsion_dual_counts(7)
+
+
+def test_torsion_cli_builds_the_model_once(monkeypatch):
+    calls = []
+
+    def counting_model(p):
+        calls.append(p)
+        return torsion_model(p)
+
+    monkeypatch.setattr(triplelines.cli, "torsion_model", counting_model)
+    monkeypatch.setattr(triplelines.torsion, "torsion_model", counting_model)
+    assert triplelines.cli.run(["torsion", "--p", "5", "--dual"]).exit_code == 0
+    assert calls == [5]
 
 
 def test_per_point_counts_by_enumeration():
