@@ -230,18 +230,22 @@ def _cmd_search(args) -> CommandResult:
 
 
 def _cmd_constraints(args) -> CommandResult:
+    if args.battery and args.field is not None:
+        raise ValueError("--field and --battery exclude each other")
+    if args.modulus is not None and args.field is None:
+        raise ValueError("--modulus needs --field")
     system = build_system(args.scenario)
-    if args.battery or not args.field:
-        battery = default_battery()
-    else:
+    if args.field is not None:
         battery = [parse_field(args.field, _parse_modulus(args.modulus))]
+    else:
+        battery = default_battery()
     lines = [f"scenario {args.scenario}: variables {', '.join(system.variables)}; "
              f"{len(system.equations)} equations, {len(system.inequations)} "
              f"non-degeneracy conditions"]
     field_reports = []
     for F in battery:
         raw = solve_over(system, F, apply_post_checks=False)
-        kept = solve_over(system, F)
+        kept = [asg for asg in raw if system.keeps(asg, F)]
         entry = {
             "field": field_to_json(F),
             "raw_solution_count": len(raw),

@@ -81,6 +81,10 @@ class ConstraintSystem:
                                 # group at least one member must be nonzero
     post_checks: tuple = ()     # (name, fn(assignment, F) -> bool), True keeps
 
+    def keeps(self, asg: dict, F: FieldSpec) -> bool:
+        """True if a raw solution over F passes every post-check."""
+        return all(fn(asg, F) for _, fn in self.post_checks)
+
 
 @dataclass(frozen=True)
 class ConsequenceViolation:
@@ -414,8 +418,7 @@ def solve_over(system: ConstraintSystem, F: FieldSpec, *,
             rem %= power
         out.append(asg)
     if apply_post_checks:
-        for check_name, fn in system.post_checks:
-            out = [asg for asg in out if fn(asg, F)]
+        out = [asg for asg in out if system.keeps(asg, F)]
     return out
 
 

@@ -1,7 +1,11 @@
 """Backtracking search for line arrangements maximizing triple points.
 
 Depth-first extension of line subsets of PG(2,q) in a fixed deterministic
-order, with two admissibility prunes:
+order. A node's state is an immutable value: the chosen line ids and four
+bit masks over point indices, holding the points met by exactly 1, 2, 3 and
+at least 4 chosen lines. Adding a line is a few int operations on its point
+mask, and bit counts give the triple and double points. Two admissibility
+prunes apply:
 
   * capacity: the j-th added line meets j chosen lines, so it can create at
     most min(floor(j/2), q+1) new triple points;
@@ -127,14 +131,26 @@ def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
     return max(options) if options else None
 
 
+def _with_line(state: tuple, line_id: int, m: int) -> tuple:
+    """The state after adding a line whose point mask is m."""
+    chosen, m1, m2, m3, m4 = state
+    return (chosen + (line_id,), m1 & ~m | m & ~(m1 | m2 | m3 | m4),
+            m2 & ~m | m1 & m, m3 & ~m | m2 & m, m4 | m3 & m)
+
+
 class _Searcher:
-    """Incremental search state with the fixed lines applied once; branch()
-    explores one first-choice subtree and leaves the state as it found it."""
+    """Depth-first search over the candidates, below the fixed lines.
+
+    A node's state is a value (chosen, m1, m2, m3, m4): the tuple of chosen
+    line ids and four bit masks over point indices holding the points met by
+    exactly 1, 2 and 3 chosen lines and by 4 or more. A child's state is built
+    from its line's point mask and passed down, so nothing is undone on the
+    way back. branch() explores one first-choice subtree.
+    """
 
     def __init__(self, cfg: SearchConfig, plane: Plane, candidates: list[int],
                  fixed: list[int]):
         self.cfg = cfg
-        self.plane = plane
         self.candidates = candidates
         q1 = cfg.field.order + 1               # points per line
         s = cfg.s
@@ -144,42 +160,18 @@ class _Searcher:
         self.pairs_total = comb(s, 2)
         self.exact = cfg.metric == "exact3"
 
-        self.cnt = [0] * len(plane.points)
-        self.chosen: list[int] = []
-        self.t3 = 0
-        self.d2 = 0
-        self.best = -1
+        def mask(line_id: int) -> int:
+            return sum(1 << p for p in plane.line_points[line_id])
+
+        self.masks = [mask(line_id) for line_id in candidates]
+        self.root = ((), 0, 0, 0, 0)
         for line_id in fixed:
-            self._apply(line_id)
+            self.root = _with_line(self.root, line_id, mask(line_id))
+        self.best = -1
 
-    # -- incremental state ---------------------------------------------------
-
-    def _apply(self, line_id: int) -> None:
-        exact = self.exact
-        for p in self.plane.line_points[line_id]:
-            c = self.cnt[p] = self.cnt[p] + 1
-            if c == 2:
-                self.d2 += 1
-            elif c == 3:
-                self.d2 -= 1
-                self.t3 += 1
-            elif c == 4 and exact:
-                self.t3 -= 1
-        self.chosen.append(line_id)
-
-    def _undo(self, line_id: int) -> None:
-        exact = self.exact
-        self.chosen.pop()
-        for p in self.plane.line_points[line_id]:
-            c = self.cnt[p]
-            self.cnt[p] = c - 1
-            if c == 2:
-                self.d2 -= 1
-            elif c == 3:
-                self.d2 += 1
-                self.t3 -= 1
-            elif c == 4 and exact:
-                self.t3 += 1
+    def _triples(self, state: tuple) -> int:
+        _, _, _, m3, m4 = state
+        return (m3 if self.exact else m3 | m4).bit_count()
 
     # -- main recursion --------------------------------------------------------
 
@@ -192,55 +184,51 @@ class _Searcher:
         self.node_budget = node_budget
         self.nodes = 0
         self.best = best_floor
-        self.witnesses: list[tuple] = []       # (sorted line ids)
+        self.witnesses: list[tuple] = []       # (line ids, fixed lines first)
         self.budget_hit = False
         self.stop = False
-        line_id = self.candidates[first]
-        self._apply(line_id)
-        self._extend(first + 1)
-        self._undo(line_id)
+        self._extend(first + 1, _with_line(self.root, self.candidates[first],
+                                           self.masks[first]))
         return self.best, self.witnesses, self.nodes, self.budget_hit, self.stop
 
-    def _record(self) -> None:
-        count = self.t3
+    def _record(self, state: tuple) -> None:
+        count = self._triples(state)
         if count > self.best:
             self.best = count
-            self.witnesses = [tuple(self.chosen)]
+            self.witnesses = [state[0]]
         elif count == self.best and len(self.witnesses) < 4 * WITNESS_CAP:
-            self.witnesses.append(tuple(self.chosen))
+            self.witnesses.append(state[0])
         if self.cfg.target is not None and count >= self.cfg.target:
             self.stop = True
 
-    def _extend(self, start: int) -> None:
+    def _extend(self, start: int, state: tuple) -> None:
         if self.stop or self.budget_hit:
             return
         self.nodes += 1
         if self.nodes > self.node_budget:
             self.budget_hit = True
             return
-        k = len(self.chosen)
+        k = len(state[0])
         if k == self.cfg.s:
-            self._record()
+            self._record(state)
             return
-        if not self.bound_ok():
+        if not self.bound_ok(state):
             return
-        for idx in range(start, len(self.candidates) - (self.cfg.s - k) + 1):
-            line_id = self.candidates[idx]
-            self._apply(line_id)
-            self._extend(idx + 1)
-            self._undo(line_id)
+        candidates, masks = self.candidates, self.masks
+        for idx in range(start, len(candidates) - (self.cfg.s - k) + 1):
+            self._extend(idx + 1, _with_line(state, candidates[idx], masks[idx]))
             if self.stop or self.budget_hit:
                 return
 
-    def bound_ok(self) -> bool:
+    def bound_ok(self, state: tuple) -> bool:
         # with a target, prune everything that provably stays below it;
         # otherwise keep any branch that can still tie the incumbent
-        k = len(self.chosen)
+        k = len(state[0])
         budget = self.pairs_total - comb(k, 2)
-        promos = min(self.d2, budget // 2)
+        promos = min(state[2].bit_count(), budget // 2)
         extra = promos + (budget - 2 * promos) // 3
         limit = self.cfg.target if self.cfg.target is not None else self.best
-        return self.t3 + min(self.cap_suffix[k], extra) >= limit
+        return self._triples(state) + min(self.cap_suffix[k], extra) >= limit
 
 
 def _pool_branch(cfg: SearchConfig, candidates: list[int], fixed: list[int],
@@ -258,10 +246,15 @@ def max_triple_search(cfg: SearchConfig,
     Branches run here with the remaining budget and the incumbent, or on
     worker processes; a worker result that overruns the remaining budget is
     recomputed here. Results merge in branch order in both modes.
+    candidate_order, if given, must list every line id of the plane exactly
+    once; the frame lines are dropped from it when the frame is on.
     """
     plane = Plane.of(cfg.field)
     notes = []
     n_lines = len(plane.lines)
+    if candidate_order is not None and sorted(candidate_order) != list(range(n_lines)):
+        raise ValueError(f"candidate_order must list each of the {n_lines} "
+                         f"line ids 0..{n_lines - 1} exactly once")
     if cfg.s > n_lines:
         notes.append(f"PG(2,{cfg.field.order}) has only {n_lines} lines; "
                      f"no arrangement of s={cfg.s} exists")
@@ -276,22 +269,18 @@ def max_triple_search(cfg: SearchConfig,
     fixed: list[int] = []
     if use_frame:
         fixed = [plane.line_index[ProjLine(cfg.field, c)] for c in FRAME_COORDS]
-        fixed_set = set(fixed)
-        pool = [i for i in range(n_lines) if i not in fixed_set]
         notes.append("frame normalization on: search restricted to arrangements "
                      "through x, y, z, x+y+z (covers every arrangement with four "
                      "lines in general position up to projectivity)")
-    else:
-        pool = list(range(n_lines))
-    if candidate_order is not None:
-        pool_set = set(pool)
-        pool = [i for i in candidate_order if i in pool_set]
+    fixed_set = set(fixed)
+    order = range(n_lines) if candidate_order is None else candidate_order
+    pool = [i for i in order if i not in fixed_set]
 
     searcher = _Searcher(cfg, plane, pool, fixed)
     best, witness_ids, nodes, target_stop = -1, [], 1, False
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
     branches = len(pool) - (cfg.s - len(fixed)) + 1
-    if not budget_hit and searcher.bound_ok() and branches > 0:
+    if not budget_hit and searcher.bound_ok(searcher.root) and branches > 0:
         executor, futures = None, []
         if cfg.threads > 1:
             executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))

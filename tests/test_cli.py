@@ -12,7 +12,9 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import triplelines
+from triplelines import constraints
 from triplelines.cli import run
+from triplelines.constraints import default_battery
 
 
 def _schema(name):
@@ -159,6 +161,34 @@ def test_constraints_cli_battery():
     assert res.exit_code == 0
     _validate(res.report, "constraints_report.schema.json")
     assert all(entry["solution_count"] == 0 for entry in res.report["fields"])
+
+
+def test_constraints_cli_scans_each_field_once(monkeypatch):
+    # the kept solutions are the raw ones filtered through the post-checks
+    scans = []
+    survivors = constraints._survivors
+
+    def counting(system, F, total):
+        scans.append(F.order)
+        return survivors(system, F, total)
+
+    monkeypatch.setattr(constraints, "_survivors", counting)
+    res = run(["constraints", "TEN_CASE_A", "--field", "7"])
+    assert res.exit_code == 0 and scans == [7]
+    scans.clear()
+    res = run(["constraints", "ELEVEN_CASE_I", "--battery"])
+    assert res.exit_code == 0
+    assert scans == [F.order for F in default_battery()]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "5", "--battery"], "exclude each other"),
+    (["--modulus", "1,1,1"], "--modulus needs --field"),
+    (["--battery", "--modulus", "1,1,1"], "--modulus needs --field"),
+])
+def test_constraints_cli_rejects_ambiguous_flags(argv, message):
+    res = run(["constraints", "TEN_CASE_B", *argv])
+    assert res.exit_code == 2 and message in res.text
 
 
 def test_torsion_cli(tmp_path):

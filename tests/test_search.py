@@ -160,6 +160,17 @@ def test_candidate_order_does_not_change_best(gf3, rng):
         assert base.best == shuffled.best
 
 
+@pytest.mark.parametrize("order", [
+    [5, 5, 5] + list(range(13)),       # duplicates
+    list(range(13)) + [13],            # an id outside the plane
+    list(range(8)),                    # missing ids: best would read 5, not 6
+])
+def test_candidate_order_must_permute_the_lines(gf3, order):
+    with pytest.raises(ValueError, match="candidate_order"):
+        max_triple_search(SearchConfig(field=gf3, s=7, normalize_frame=False),
+                          candidate_order=order)
+
+
 def test_frame_on_off_agreement(gf2, gf3, gf4):
     cases = [(gf2, 5), (gf2, 6), (gf2, 7), (gf3, 5), (gf3, 6), (gf3, 7),
              (gf3, 8), (gf3, 9), (gf4, 5), (gf4, 6), (gf4, 7), (gf4, 8), (gf4, 9)]
@@ -195,6 +206,19 @@ def test_config_rejects_meaningless_settings(gf5):
         SearchConfig(field=gf5, s=8, threads=0)
     with pytest.raises(ValueError, match="max_nodes"):
         SearchConfig(field=gf5, s=8, max_nodes=-1)
+
+
+@pytest.mark.parametrize("p, kwargs, expected", [
+    (5, dict(s=10), (13, 68418, True)),
+    (5, dict(s=10, threads=2), (13, 98533, True)),
+    (5, dict(s=8), (7, 10769, True)),
+    (5, dict(s=8, metric="atleast3"), (7, 11888, True)),
+    (3, dict(s=7, normalize_frame=False), (6, 2915, True)),
+])
+def test_node_counts_are_pinned(p, kwargs, expected):
+    # exact node counts: a change here changes what the search visits
+    rep = max_triple_search(SearchConfig(field=make_field(p), **kwargs))
+    assert (rep.best, rep.nodes_visited, rep.exhaustive) == expected
 
 
 def _run_both(F, **kwargs):
