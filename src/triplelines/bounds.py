@@ -42,5 +42,7 @@ class BoundRow:
 
 
 def bound_table(max_s: int) -> list[BoundRow]:
+    if max_s < 1:
+        raise ValueError("max_s must be positive")
     return [BoundRow(s, naive_bound(s), schoenheim_u3(s), eps(s))
             for s in range(1, max_s + 1)]

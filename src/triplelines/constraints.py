@@ -3,12 +3,12 @@
 Each scenario fixes a coordinate frame for some of the lines, turns the
 prescribed collinearities/concurrencies into integer-coefficient equations,
 adds non-degeneracy inequations, and is solved over any finite field by
-exhaustive enumeration of all variable assignments. Geometric side conditions
-that are awkward as polynomials (membership of a pencil, a forbidden extra
-incidence) are applied as post-checks on candidate solutions. Each scenario's
-construction (frame lines, joins and meets, incidence conditions) is written
-once over any commutative ring: over integer polynomials it derives the
-equations, over a finite field it drives the post-checks and realize().
+enumerating the variables the equations do not give outright. Geometric
+side conditions that are awkward as polynomials (membership of a pencil, a
+forbidden extra incidence) are post-checks on candidate solutions. Each
+scenario's construction (frame lines, joins and meets, incidence conditions)
+is written once over any commutative ring: over integer polynomials it derives
+the equations, over a finite field it drives the post-checks and realize().
 
 Five scenarios are built in:
 
@@ -28,11 +28,10 @@ Five scenarios are built in:
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import IdenticalArguments, UnsolvedAssignment
 from .field import FieldElement, FieldSpec, make_field
@@ -347,76 +346,77 @@ def build_system(name: str) -> ConstraintSystem:
 # exhaustive solving
 # ---------------------------------------------------------------------------
 
-def _eval_grid(poly: IntPolynomial, F: FieldSpec, values: list, tables: tuple):
-    """Evaluate over the full assignment grid using index tables."""
-    ADD, MUL, POW = tables
-    total = values[0].shape[0] if values else 1
-    acc = np.zeros(total, dtype=np.int32)
-    for exps, coeff in poly.terms.items():
-        term = np.full(total, F.from_int(coeff).index, dtype=np.int32)
-        for vi, e in enumerate(exps):
-            if e:
-                term = MUL[term, POW[e][values[vi]]]
-        acc = ADD[acc, term]
-    return acc
+def _eliminated(system: ConstraintSystem) -> dict[int, IntPolynomial]:
+    """Variables the equations give outright: position -> value, in choice order.
 
-
-def _tables(F: FieldSpec, max_degree: int) -> tuple:
-    ADD = np.array(F.add_table, dtype=np.int32)
-    MUL = np.array(F.mul_table, dtype=np.int32)
-    base = np.arange(F.order, dtype=np.int32)
-    POW = {0: np.ones(F.order, dtype=np.int32), 1: base}
-    for e in range(2, max_degree + 1):
-        POW[e] = MUL[POW[e - 1], base]
-    return ADD, MUL, POW
-
-
-_CHUNK = 1 << 22
-
-
-def _survivors(system: ConstraintSystem, F: FieldSpec, total: int) -> list[int]:
-    q = F.order
+    An equation c*v + r with c = +-1 and v not in r says v = -c*r over every
+    ring. Walking the equations in order, at most one such v is taken per
+    equation, and its r may not contain a variable taken before it, so the
+    values evaluated in reverse order depend on free variables only.
+    """
     n = len(system.variables)
-    degrees = [p.max_degree() for p in system.equations]
-    for group in system.inequations:
-        degrees.extend(p.max_degree() for p in group)
-    tables = _tables(F, max(degrees, default=1))
-    found: list[int] = []
-    for offset in range(0, total, _CHUNK):
-        idx = np.arange(offset, min(offset + _CHUNK, total), dtype=np.int64)
-        values = [((idx // (q ** (n - 1 - i))) % q).astype(np.int32) for i in range(n)]
-        mask = np.ones(idx.shape[0], dtype=bool)
-        for eq in system.equations:
-            mask &= _eval_grid(eq, F, values, tables) == 0
-        for group in system.inequations:
-            all_zero = np.ones(idx.shape[0], dtype=bool)
-            for poly in group:
-                all_zero &= _eval_grid(poly, F, values, tables) == 0
-            mask &= ~all_zero
-        found.extend(int(i) for i in idx[mask])
-    return found
+    chosen: dict[int, IntPolynomial] = {}
+    for eq in system.equations:
+        for i in range(n):
+            unit = tuple(int(j == i) for j in range(n))
+            c = eq.terms.get(unit)
+            rest = {e: k for e, k in eq.terms.items() if e != unit}
+            occurs = {j for e in rest for j, x in enumerate(e) if x}
+            if c in (1, -1) and i not in chosen and not occurs & (chosen.keys() | {i}):
+                chosen[i] = -c * IntPolynomial(system.variables, rest)
+                break
+    return chosen
+
+
+def _survivors(system: ConstraintSystem, F: FieldSpec) -> list[tuple]:
+    """Sorted index tuples of the assignments meeting equations and inequations.
+
+    Free variables run over F, eliminated ones are filled in in reverse order;
+    each term is (coefficient, variable positions repeated by exponent) and is
+    evaluated through the field's add/mul tables.
+    """
+    ADD, MUL = F.add_table, F.mul_table
+
+    def compiled(poly: IntPolynomial) -> list:
+        return [(F.from_int(c).index, [i for i, e in enumerate(exps) for _ in range(e)])
+                for exps, c in poly.terms.items()]
+
+    def value(terms: list, x: list) -> int:
+        acc = 0
+        for t, factors in terms:
+            for i in factors:
+                t = MUL[t][x[i]]
+            acc = ADD[acc][t]
+        return acc
+
+    eliminated = _eliminated(system)
+    fill = [(i, compiled(eliminated[i])) for i in reversed(eliminated)]
+    x = [0] * len(system.variables)
+    free = [i for i in range(len(x)) if i not in eliminated]
+    equations = [compiled(p) for p in system.equations]
+    groups = [[compiled(p) for p in group] for group in system.inequations]
+    found = []
+    for point in itertools.product(range(F.order), repeat=len(free)):
+        for i, v in zip(free, point):
+            x[i] = v
+        for i, terms in fill:
+            x[i] = value(terms, x)
+        if (all(value(eq, x) == 0 for eq in equations)
+                and all(any(value(p, x) for p in group) for group in groups)):
+            found.append(tuple(x))
+    return sorted(found)
 
 
 def solve_over(system: ConstraintSystem, F: FieldSpec, *,
                apply_post_checks: bool = True) -> list[dict]:
     """All assignments over F satisfying the system, in lexicographic order.
 
-    Exhaustive scan of the q^n assignment grid; the candidate survivors of
-    the polynomial constraints then run the geometric post-checks.
+    Exhaustive over the variables the equations do not give outright (see
+    _eliminated): q^2 assignments for every built-in scenario. The survivors
+    of the polynomial constraints then run the geometric post-checks.
     """
-    q = F.order
-    n = len(system.variables)
-    flats = _survivors(system, F, q ** n)
-
-    out = []
-    for flat in flats:
-        asg = {}
-        rem = flat
-        for i, v in enumerate(system.variables):
-            power = q ** (n - 1 - i)
-            asg[v] = FieldElement(F, rem // power)
-            rem %= power
-        out.append(asg)
+    out = [{v: FieldElement(F, i) for v, i in zip(system.variables, x)}
+           for x in _survivors(system, F)]
     if apply_post_checks:
         out = [asg for asg in out if system.keeps(asg, F)]
     return out

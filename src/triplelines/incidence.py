@@ -53,12 +53,6 @@ class Arrangement:
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else f"L{i + 1}"
 
-    def line_by_label(self, label: str) -> ProjLine:
-        for i in range(self.s):
-            if self.label_of(i) == label:
-                return self.lines[i]
-        raise UnknownLabel(f"no line labelled {label!r}")
-
     def __repr__(self) -> str:
         return f"Arrangement({self.field!r}, s={self.s})"
 

@@ -28,6 +28,8 @@ def _normalize(field: FieldSpec, coords) -> tuple[FieldElement, FieldElement, Fi
     pivot = next((e for e in elems if not e.is_zero()), None)
     if pivot is None:
         raise ValueError("(0:0:0) is not a projective element")
+    if pivot.index == 1:
+        return tuple(elems)
     scale = pivot.inverse()
     return tuple(e * scale for e in elems)
 

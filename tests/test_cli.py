@@ -48,6 +48,14 @@ def test_bounds_csv(tmp_path):
     assert lines[5] == "5,3,2,1"
 
 
+@pytest.mark.parametrize("max_s", ["0", "-3"])
+def test_bounds_rejects_max_below_one(tmp_path, max_s):
+    out = tmp_path / "bounds.json"
+    res = run(["bounds", "--max", max_s, "--json", str(out)])
+    assert res.exit_code == 2 and "must be positive" in res.text
+    assert not out.exists()
+
+
 def test_verify_exit_codes():
     assert run(["verify", "TEN_E2", "--field", "5"]).exit_code == 0
     assert run(["verify", "TEN_E1", "--field", "2^2"]).exit_code == 0
@@ -168,9 +176,9 @@ def test_constraints_cli_scans_each_field_once(monkeypatch):
     scans = []
     survivors = constraints._survivors
 
-    def counting(system, F, total):
+    def counting(system, F):
         scans.append(F.order)
-        return survivors(system, F, total)
+        return survivors(system, F)
 
     monkeypatch.setattr(constraints, "_survivors", counting)
     res = run(["constraints", "TEN_CASE_A", "--field", "7"])

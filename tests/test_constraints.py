@@ -1,5 +1,6 @@
 """Scenario systems: derivation, exhaustive solving, consequences, realization."""
 
+import itertools
 import random
 
 import pytest
@@ -192,6 +193,36 @@ def test_solution_order_deterministic_and_equation_order_free(gf4):
     a = [[asg[v].index for v in system.variables] for asg in solve_over(system, gf4)]
     b = [[asg[v].index for v in system.variables] for asg in solve_over(shuffled, gf4)]
     assert a == b
+
+
+def _oracle_systems():
+    """Every scenario, its equation-only variant and the derived TEN_CASE_B."""
+    for name in SCENARIO_NAMES:
+        system = build_system(name)
+        yield name, system
+        yield f"{name}/equations", ConstraintSystem(name, system.variables,
+                                                    system.equations, ())
+    case_b = build_system(TEN_CASE_B)
+    yield "TEN_CASE_B/derived", ConstraintSystem(
+        TEN_CASE_B, case_b.variables, tuple(derived_equations(TEN_CASE_B)),
+        case_b.inequations)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_raw_solutions_match_brute_force_oracle(p, k):
+    # every one of the q^n assignments, evaluated term by term
+    F = make_field(p, k)
+    for label, system in _oracle_systems():
+        want = []
+        for values in itertools.product(F.elements(), repeat=len(system.variables)):
+            asg = dict(zip(system.variables, values))
+            if (all(eq.evaluate(asg, F).is_zero() for eq in system.equations)
+                    and all(not all(p.evaluate(asg, F).is_zero() for p in group)
+                            for group in system.inequations)):
+                want.append(tuple(v.index for v in values))
+        got = [tuple(asg[v].index for v in system.variables)
+               for asg in solve_over(system, F, apply_post_checks=False)]
+        assert got == want, label
 
 
 def test_field_too_large_guard():

@@ -20,6 +20,21 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_numpy_imports_in_package():
+    # the package runs on the standard library alone
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             for module in _imported_modules(node) if module.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def _raised_name(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return exc.id if isinstance(exc, ast.Name) else None
