@@ -150,16 +150,20 @@ class FieldSpec:
                 t //= p
             coeff_vectors.append(tuple(coeffs))
         self.coeff_table = coeff_vectors
+        if k == 1:
+            # a prime field's element index is its residue mod p
+            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.mul_table = [[a * b % p for b in range(p)] for a in range(p)]
+            self.neg_table = [-a % p for a in range(p)]
+            self.inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+            return
         idx_of = self.index_of
         mod = list(self.modulus)
         add, mul = [], []
         for a in coeff_vectors:
             add.append([idx_of([(x + y) % p for x, y in zip(a, b)]) for b in coeff_vectors])
-            row = []
-            for b in coeff_vectors:
-                prod = _poly_mul(_trim(list(a)), _trim(list(b)), p)
-                row.append(idx_of(_poly_mod(prod, mod, p) if k > 1 else prod))
-            mul.append(row)
+            mul.append([idx_of(_poly_mod(_poly_mul(_trim(list(a)), _trim(list(b)), p), mod, p))
+                        for b in coeff_vectors])
         self.add_table = add
         self.mul_table = mul
         self.neg_table = [idx_of([(-x) % p for x in a]) for a in coeff_vectors]

@@ -13,19 +13,36 @@ prunes apply:
     for every new triple point: promoting an existing double point costs two
     pairs, a fresh triple point costs three.
 
+The bound is tested on each child before the search enters it, so a child
+that fails is neither entered nor counted as a node.
+
 With frame normalization the first four lines are pinned to x, y, z, x+y+z:
 any arrangement containing four lines in general position is projectively
 equivalent to one through that frame, and the only arrangements without such
 a quadruple are pencils and near-pencils, whose triple counts are folded in
-analytically. Searches and their reports are per-field evidence only.
+analytically. The collineations that map the frame onto itself (24
+projectivities times the k powers of Frobenius, frame_stabilizer) permute
+the other lines, and the search enters only subsets that are the lex-least
+of their orbit (McKay, "Isomorph-free exhaustive generation", 1998): a child
+is cut when some g maps its chosen candidate positions X to a set whose
+sorted positions come first. Every extension of a cut prefix would be cut
+too, and no prefix of an orbit's lex-least member ever is. As the bound
+never cuts a prefix of a subset that reaches its limit, and the triple
+count is the same on a whole orbit, every best value is kept. Leaves are
+entered without either test. Searches and their reports are per-field
+evidence only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import comb
-from typing import Optional
+from operator import lshift, or_
+from typing import Optional, Sequence
 
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
@@ -131,11 +148,63 @@ def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
     return max(options) if options else None
 
 
-def _with_line(state: tuple, line_id: int, m: int) -> tuple:
-    """The state after adding a line whose point mask is m."""
-    chosen, m1, m2, m3, m4 = state
-    return (chosen + (line_id,), m1 & ~m | m & ~(m1 | m2 | m3 | m4),
-            m2 & ~m | m1 & m, m3 & ~m | m2 & m, m4 | m3 & m)
+def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
+    """The collineations of PG(2,q) that map the frame lines x, y, z, x+y+z
+    onto themselves, as permutations of the line ids, identity first.
+
+    The 24 projectivities permuting the frame lines (S4) act on line
+    coordinates as u -> uM, where M is an integer matrix whose rows are
+    +-(frame vectors); the field automorphisms e -> e^p fix the frame too,
+    so the group has order 24*k. It is closed from three generators (a
+    transposition, a 4-cycle and Frobenius) computed over the field tables.
+    """
+    F = plane.field
+    q, add, mul, inv = F.order, F.add_table, F.mul_table, F.inv_table
+    coords = [tuple(e.index for e in L.coords) for L in plane.lines]
+
+    def permutation(image) -> tuple[int, ...]:
+        out = []
+        for u in coords:
+            a, b, c = image(u)
+            scale = mul[inv[a or b or c]]
+            a, b, c = scale[a], scale[b], scale[c]
+            # position of the normalized line in enumerate_lines order
+            out.append(1 + q + q * b + c if a else 1 + c if b else 0)
+        return tuple(out)
+
+    def linear(rows):
+        m = [[x % F.p for x in row] for row in rows]     # prime-field indices
+        return lambda u: tuple(
+            add[add[mul[u[0]][m[0][j]]][mul[u[1]][m[1][j]]]][mul[u[2]][m[2][j]]]
+            for j in range(3))
+
+    gens = [permutation(linear(((0, 1, 0), (1, 0, 0), (0, 0, 1)))),    # x <-> y
+            # x -> y -> z -> x+y+z -> x, since (x+y+z)M = -x
+            permutation(linear(((0, 1, 0), (0, 0, 1), (-1, -1, -1))))]
+    if F.k > 1:
+        frob = []
+        for e in range(q):
+            power = 1
+            for _ in range(F.p):
+                power = mul[power][e]
+            frob.append(power)
+        gens.append(permutation(lambda u: tuple(frob[e] for e in u)))
+
+    identity = tuple(range(len(coords)))
+    group, frontier = {identity}, [identity]
+    while frontier and len(group) <= 24 * F.k:
+        new = []
+        for g in frontier:
+            for h in gens:
+                gh = tuple(map(g.__getitem__, h))
+                if gh not in group:
+                    group.add(gh)
+                    new.append(gh)
+        frontier = new
+    if len(group) != 24 * F.k:
+        raise RuntimeError(f"frame stabilizer of PG(2,{q}) has order {len(group)}, "
+                           f"expected {24 * F.k}")
+    return sorted(group)
 
 
 class _Searcher:
@@ -146,32 +215,68 @@ class _Searcher:
     exactly 1, 2 and 3 chosen lines and by 4 or more. A child's state is built
     from its line's point mask and passed down, so nothing is undone on the
     way back. branch() explores one first-choice subtree.
+
+    The fixed lines are the frame when there are any; the search then also
+    carries X, the mask of chosen candidate positions, and its image under
+    each non-identity element of the frame stabilizer. Candidate position i
+    is bit n-1-i, so of two subsets of equal size the one whose sorted
+    positions come first lexicographically is the larger int, and a child is
+    cut when one of its images exceeds X.
     """
 
-    def __init__(self, cfg: SearchConfig, plane: Plane, candidates: list[int],
-                 fixed: list[int]):
+    def __init__(self, cfg: SearchConfig, plane: Plane, candidates: Sequence[int],
+                 fixed: Sequence[int]):
         self.cfg = cfg
         self.candidates = candidates
         q1 = cfg.field.order + 1               # points per line
         s = cfg.s
-        self.cap_suffix = [0] * (s + 1)
+        cap_suffix = [0] * (s + 1)
         for k in range(s - 1, -1, -1):
-            self.cap_suffix[k] = self.cap_suffix[k + 1] + min(k // 2, q1)
-        self.pairs_total = comb(s, 2)
+            cap_suffix[k] = cap_suffix[k + 1] + min(k // 2, q1)
+        # headroom[k][d]: the most triple points the lines still to come can
+        # add to k chosen lines with d double points (d capped at the most
+        # promotions the pair budget pays for)
+        self.headroom = []
+        for k in range(s + 1):
+            budget = comb(s, 2) - comb(k, 2)
+            self.headroom.append([min(cap_suffix[k], promos + (budget - 2 * promos) // 3)
+                                  for promos in range(budget // 2 + 1)])
+        self.target = cfg.target
         self.exact = cfg.metric == "exact3"
 
-        def mask(line_id: int) -> int:
-            return sum(1 << p for p in plane.line_points[line_id])
+        self.masks = [sum(1 << p for p in plane.line_points[line_id])
+                      for line_id in candidates]
+        by_multiplicity = [0] * 5              # [1..4]: met by 1, 2, 3, >= 4 lines
+        for point, m in Counter(p for line_id in fixed
+                                for p in plane.line_points[line_id]).items():
+            by_multiplicity[min(m, 4)] |= 1 << point
+        self.root = (tuple(fixed), *by_multiplicity[1:])
 
-        self.masks = [mask(line_id) for line_id in candidates]
-        self.root = ((), 0, 0, 0, 0)
-        for line_id in fixed:
-            self.root = _with_line(self.root, line_id, mask(line_id))
+        # bit[i] is the bit of candidate position i; images[i] holds the bit
+        # of its image under each non-identity group element, as ints from
+        # one shared list; 1 << bit is made on the fly, since storing those
+        # wide ints per candidate and element costs megabytes at GF(27)
+        n = len(candidates)
+        self.bit = list(range(n - 1, -1, -1))
+        group = frame_stabilizer(plane) if fixed else [()]
+        self.group_order = len(group)
+        position = {line_id: i for i, line_id in enumerate(candidates)}
+        self.images = [tuple(self.bit[position[g[line_id]]] for g in group[1:])
+                       for line_id in candidates]
+        self.root_images = (0,) * (len(group) - 1)
         self.best = -1
 
-    def _triples(self, state: tuple) -> int:
-        _, _, _, m3, m4 = state
-        return (m3 if self.exact else m3 | m4).bit_count()
+    def root_ok(self) -> bool:
+        """Whether the fixed lines pass the bound (see _children)."""
+        chosen, _, m2, m3, m4 = self.root
+        row = self.headroom[len(chosen)]
+        t3 = (m3 if self.exact else m3 | m4).bit_count()
+        return t3 + row[min(m2.bit_count(), len(row) - 1)] >= self.limit()
+
+    def limit(self) -> int:
+        # with a target, prune everything that provably stays below it;
+        # otherwise keep any branch that can still tie the incumbent
+        return self.best if self.target is None else self.target
 
     # -- main recursion --------------------------------------------------------
 
@@ -187,55 +292,76 @@ class _Searcher:
         self.witnesses: list[tuple] = []       # (line ids, fixed lines first)
         self.budget_hit = False
         self.stop = False
-        self._extend(first + 1, _with_line(self.root, self.candidates[first],
-                                           self.masks[first]))
+        self._children(self.root, 0, self.root_images, first, first + 1)
         return self.best, self.witnesses, self.nodes, self.budget_hit, self.stop
 
-    def _record(self, state: tuple) -> None:
-        count = self._triples(state)
+    def _record(self, chosen: tuple, count: int) -> None:
         if count > self.best:
             self.best = count
-            self.witnesses = [state[0]]
+            self.witnesses = [chosen]
         elif count == self.best and len(self.witnesses) < 4 * WITNESS_CAP:
-            self.witnesses.append(state[0])
-        if self.cfg.target is not None and count >= self.cfg.target:
+            self.witnesses.append(chosen)
+        if self.target is not None and count >= self.target:
             self.stop = True
 
-    def _extend(self, start: int, state: tuple) -> None:
-        if self.stop or self.budget_hit:
-            return
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            self.budget_hit = True
-            return
-        k = len(state[0])
-        if k == self.cfg.s:
-            self._record(state)
-            return
-        if not self.bound_ok(state):
-            return
-        candidates, masks = self.candidates, self.masks
-        for idx in range(start, len(candidates) - (self.cfg.s - k) + 1):
-            self._extend(idx + 1, _with_line(state, candidates[idx], masks[idx]))
+    def _children(self, state: tuple, x: int, images: tuple, start: int,
+                  stop: int) -> None:
+        """Enter the children of a node that add candidates[start:stop].
+
+        A leaf child is always entered and recorded. Any other child is
+        entered only if it passes the bound and then the symmetry check, and
+        its own children follow. Every state entered counts as a node.
+        """
+        candidates, masks, bits, cand_images = (self.candidates, self.masks,
+                                                self.bit, self.images)
+        exact = self.exact
+        chosen, m1, m2, m3, m4 = state
+        covered = m1 | m2 | m3 | m4
+        k = len(chosen) + 1                    # lines in each child
+        leaf = k == self.cfg.s
+        row = self.headroom[k]
+        top = len(row) - 1
+        grandchild_stop = len(candidates) - (self.cfg.s - k) + 1
+        for idx in range(start, stop):
+            # the child's masks: a point of the new line moves up one count
+            m = masks[idx]
+            c2, c3, c4 = m2 & ~m | m1 & m, m3 & ~m | m2 & m, m4 | m3 & m
+            t3 = (c3 if exact else c3 | c4).bit_count()
+            if not leaf:
+                d2 = c2.bit_count()
+                if t3 + row[d2 if d2 < top else top] < self.limit():
+                    continue
+                child_x = x | 1 << bits[idx]
+                child_images = tuple(map(or_, images, map(lshift, repeat(1),
+                                                           cand_images[idx])))
+                if child_images and max(child_images) > child_x:
+                    continue
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                self.budget_hit = True
+                return
+            child = (chosen + (candidates[idx],), m1 & ~m | m & ~covered, c2, c3, c4)
+            if leaf:
+                self._record(child[0], t3)
+            else:
+                self._children(child, child_x, child_images, idx + 1, grandchild_stop)
             if self.stop or self.budget_hit:
                 return
 
-    def bound_ok(self, state: tuple) -> bool:
-        # with a target, prune everything that provably stays below it;
-        # otherwise keep any branch that can still tie the incumbent
-        k = len(state[0])
-        budget = self.pairs_total - comb(k, 2)
-        promos = min(state[2].bit_count(), budget // 2)
-        extra = promos + (budget - 2 * promos) // 3
-        limit = self.cfg.target if self.cfg.target is not None else self.best
-        return self._triples(state) + min(self.cap_suffix[k], extra) >= limit
+
+@lru_cache(maxsize=1)
+def _worker_searcher(cfg: SearchConfig, candidates: tuple, fixed: tuple) -> _Searcher:
+    return _Searcher(cfg, Plane.of(cfg.field), candidates, fixed)
 
 
-def _pool_branch(cfg: SearchConfig, candidates: list[int], fixed: list[int],
+def _pool_branch(cfg: SearchConfig, candidates: tuple, fixed: tuple,
                  first: int) -> tuple:
-    """Worker entry: one branch with no incumbent and the whole node budget."""
-    searcher = _Searcher(cfg, Plane.of(cfg.field), candidates, fixed)
-    return searcher.branch(first, cfg.max_nodes, -1)
+    """Worker entry: one branch with no incumbent and the whole node budget.
+
+    A worker process builds its searcher (masks, group) once, for its first
+    branch, and reuses it for the branches of the same run that follow.
+    """
+    return _worker_searcher(cfg, candidates, fixed).branch(first, cfg.max_nodes, -1)
 
 
 def max_triple_search(cfg: SearchConfig,
@@ -277,14 +403,20 @@ def max_triple_search(cfg: SearchConfig,
     pool = [i for i in order if i not in fixed_set]
 
     searcher = _Searcher(cfg, plane, pool, fixed)
+    if use_frame:
+        k = cfg.field.k
+        notes.append(f"symmetry: only the lex-least subset of each orbit under the "
+                     f"{searcher.group_order} collineations fixing the frame (24 "
+                     f"projectivities x {k} field automorphism{'s' if k > 1 else ''}) "
+                     f"is searched")
     best, witness_ids, nodes, target_stop = -1, [], 1, False
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
     branches = len(pool) - (cfg.s - len(fixed)) + 1
-    if not budget_hit and searcher.bound_ok(searcher.root) and branches > 0:
+    if not budget_hit and searcher.root_ok() and branches > 0:
         executor, futures = None, []
         if cfg.threads > 1:
             executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
-            futures = [executor.submit(_pool_branch, cfg, pool, fixed, first)
+            futures = [executor.submit(_pool_branch, cfg, tuple(pool), tuple(fixed), first)
                        for first in range(branches)]
         try:
             for first in range(branches):

@@ -12,8 +12,11 @@ from triplelines.errors import (
     ZeroPolynomial,
 )
 from triplelines.field import (
+    _poly_mul,
+    _trim,
     cube_roots_of_unity,
     default_modulus,
+    is_prime,
     make_field,
     parse_field,
     roots_of,
@@ -126,6 +129,19 @@ def test_prime_field_facts():
     assert F7(3) + F7(5) == F7(1)
     assert F5(2) - F5(4) == F5(3)
     assert F5(3) / F5(2) == F5(4)
+
+
+@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
+def test_prime_field_tables_match_polynomial_path(p):
+    # oracle: the coefficient-list arithmetic that extension fields use
+    F = make_field(p)
+    idx = F.index_of
+    assert F.add_table == [[idx([a + b]) for b in range(p)] for a in range(p)]
+    assert F.mul_table == [[idx(_poly_mul(_trim([a]), _trim([b]), p)) for b in range(p)]
+                           for a in range(p)]
+    assert F.neg_table == [idx([-a]) for a in range(p)]
+    assert F.inv_table[0] == 0
+    assert all(F.mul_table[a][F.inv_table[a]] == 1 for a in range(1, p))
 
 
 def test_division_by_zero():

@@ -1,5 +1,6 @@
 """Search correctness: oracles, published optima, soundness, pruning honesty."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -16,11 +17,13 @@ from triplelines.incidence import (
     isomorphic,
     profile,
 )
-from triplelines.projective import enumerate_lines, enumerate_points, incident
+from triplelines.projective import ProjLine, enumerate_lines, enumerate_points, incident
 from triplelines.search import (
+    FRAME_COORDS,
     Plane,
     SearchConfig,
     dual_search_seed,
+    frame_stabilizer,
     max_triple_search,
 )
 
@@ -209,11 +212,11 @@ def test_config_rejects_meaningless_settings(gf5):
 
 
 @pytest.mark.parametrize("p, kwargs, expected", [
-    (5, dict(s=10), (13, 68418, True)),
-    (5, dict(s=10, threads=2), (13, 98533, True)),
-    (5, dict(s=8), (7, 10769, True)),
-    (5, dict(s=8, metric="atleast3"), (7, 11888, True)),
-    (3, dict(s=7, normalize_frame=False), (6, 2915, True)),
+    (5, dict(s=10), (13, 3934, True)),
+    (5, dict(s=10, threads=2), (13, 5402, True)),
+    (5, dict(s=8), (7, 852, True)),
+    (5, dict(s=8, metric="atleast3"), (7, 864, True)),
+    (3, dict(s=7, normalize_frame=False), (6, 2677, True)),
 ])
 def test_node_counts_are_pinned(p, kwargs, expected):
     # exact node counts: a change here changes what the search visits
@@ -238,9 +241,9 @@ def test_threads_match_sequential(gf3, gf5):
 
 @pytest.mark.parametrize("s, target, max_nodes", [
     (10, 13, 10 ** 9),          # stops on the target
-    (11, 17, 1000),             # budget spent inside the first branch
-    (11, 17, 55860),            # budget spent on the very last node
-    (11, 17, 55861),            # exhaustive with no node to spare
+    (11, 17, 1000),             # budget spent inside the second branch
+    (11, 17, 1427),             # budget spent on the very last node
+    (11, 17, 1428),             # exhaustive with no node to spare
 ])
 def test_threads_agree_with_target(gf5, s, target, max_nodes):
     seq, par = _run_both(gf5, s=s, target=target, max_nodes=max_nodes)
@@ -306,6 +309,68 @@ def test_plane_structure_gf81():
     sample = random.Random(81).sample(range(len(plane.lines)), 8)
     assert [plane.line_points[i] for i in sample] == \
         _scanned_line_points(plane, [plane.lines[i] for i in sample])
+
+
+# ---------------------------------------------------------------------------
+# symmetry: the frame stabilizer and lex-leader pruning
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_frame_stabilizer_is_the_collineation_group_of_the_frame(p, k):
+    plane = Plane.of(make_field(p, k))
+    group = frame_stabilizer(plane)
+    n = len(plane.lines)
+    assert len(group) == len(set(group)) == 24 * k
+    assert group[0] == tuple(range(n))
+    assert all(sorted(g) == list(range(n)) for g in group)
+    frame = [plane.line_index[ProjLine(plane.field, c)] for c in FRAME_COORDS]
+    # every permutation of the frame lines, each by the k field automorphisms
+    assert Counter(tuple(g[i] for i in frame) for g in group) == \
+        {perm: k for perm in itertools.permutations(frame)}
+    # incidence: the lines through a point go to the lines through one point
+    through = [[] for _ in plane.points]
+    for line_id, pts in enumerate(plane.line_points):
+        for point in pts:
+            through[point].append(line_id)
+    pencils = {frozenset(lines) for lines in through}
+    for g in group:
+        assert all(frozenset(g[i] for i in lines) in pencils for lines in through)
+
+
+def _subset_best(F, s):
+    """Oracle maxima (exact3, atleast3) over every s-subset of lines,
+    counted on Plane.line_points."""
+    best = {"exact3": -1, "atleast3": -1}
+    for combo in itertools.combinations(Plane.of(F).line_points, s):
+        mult = Counter(Counter(p for pts in combo for p in pts).values())
+        best["exact3"] = max(best["exact3"], mult[3])
+        best["atleast3"] = max(best["atleast3"],
+                               sum(t for m, t in mult.items() if m >= 3))
+    return best
+
+
+def test_symmetry_pruning_keeps_best_values(gf2, gf3, gf4, gf5):
+    rng = random.Random(24)
+    cases = [(gf2, s) for s in (5, 6, 7)] + [(gf3, s) for s in range(5, 10)] + \
+        [(gf4, s) for s in range(5, 10)] + [(gf5, 5)]
+    for F, s in cases:
+        oracle = None if F.order == 4 and s > 5 else _subset_best(F, s)
+        order = list(range(F.order ** 2 + F.order + 1))
+        rng.shuffle(order)
+        for metric in ("exact3", "atleast3"):
+            off = max_triple_search(SearchConfig(field=F, s=s, metric=metric,
+                                                 normalize_frame=False))
+            for candidate_order in (None, order):
+                on = max_triple_search(SearchConfig(field=F, s=s, metric=metric),
+                                       candidate_order=candidate_order)
+                assert any(f"under the {24 * F.k} collineations" in n for n in on.notes)
+                assert ((on.best, on.exhaustive, on.best_is_maximum)
+                        == (off.best, off.exhaustive, off.best_is_maximum)), (F, s)
+                if oracle is not None:
+                    assert on.best == oracle[metric], (F, s, metric)
+            if F.order == 2:
+                assert on.best == brute_force_best_triples(F, s, metric), (s, metric)
 
 
 # ---------------------------------------------------------------------------
