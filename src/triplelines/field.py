@@ -132,6 +132,7 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus
         self.order = p ** k
+        self._key = (p, k, modulus)
         self._build_tables()
 
     def index_of(self, coeffs: Sequence[int]) -> int:
@@ -180,13 +181,15 @@ class FieldSpec:
     # -- identity and notation ------------------------------------------------
 
     def key(self) -> tuple:
-        return (self.p, self.k, self.modulus)
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FieldSpec) and self.key() == other.key()
+        # make_field caches fields and unpickling goes through it, so equal
+        # fields are nearly always the same object
+        return other is self or (isinstance(other, FieldSpec) and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"GF({self.notation()})"

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
 from .field import FieldElement, FieldSpec, make_field
-from .projective import ProjLine, ProjPoint, incident, meet
+from .projective import ProjLine, ProjPoint, _meet_key, incident
 
 
 class Arrangement:
@@ -83,11 +83,19 @@ class IntersectionProfile:
 
 
 def profile(A: Arrangement) -> IntersectionProfile:
-    """Collect the two line indices of every pairwise meet at its point."""
-    through: dict[ProjPoint, set[int]] = {}
-    for (i, L1), (j, L2) in itertools.combinations(enumerate(A.lines), 2):
-        through.setdefault(meet(L1, L2), set()).update((i, j))
-    lines_through = {P: tuple(sorted(through[P])) for P in sorted(through)}
+    """Collect the two line indices of every pairwise meet at its point.
+
+    Meets are computed and grouped as index triples over the field tables;
+    a ProjPoint is built once per distinct point. Points order by their
+    index triples, so sorting the triples orders the points.
+    """
+    F = A.field
+    keys = [L.key() for L in A.lines]
+    through: dict[tuple, set[int]] = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(keys), 2):
+        through.setdefault(_meet_key(F, a, b), set()).update((i, j))
+    lines_through = {ProjPoint._from_key(F, key): tuple(sorted(through[key]))
+                     for key in sorted(through)}
     points = {P: len(ix) for P, ix in lines_through.items()}
     tvec = dict(sorted(Counter(points.values()).items()))
     if not check_identity(A.s, tvec):
@@ -242,8 +250,25 @@ def _line_signature(X: AbstractIncidence) -> list[tuple]:
     return [tuple(sorted(s)) for s in sig]
 
 
+def _pair_blocks(X: AbstractIncidence) -> list[list[int]]:
+    """The n x n matrix of the block holding each pair of lines, -1 for none."""
+    pair = [[-1] * X.num_lines for _ in range(X.num_lines)]
+    for k, b in enumerate(X.blocks):
+        for u, v in itertools.permutations(b, 2):
+            pair[u][v] = k
+    return pair
+
+
 def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
-    """Line-relabelling equivalence, by backtracking with degree pruning."""
+    """Line-relabelling equivalence, by backtracking on the pair-block matrix.
+
+    Two lines share at most one block, so a line bijection is an
+    isomorphism exactly when, for every pair, the blocks holding {u, v} and
+    {map(u), map(v)} have the same size (0 for none) and all pairs of one X
+    block land in one Y block. Distinct X blocks then land in distinct Y
+    blocks; checking that as well cuts dead branches sooner. Each new line
+    is checked against the lines mapped before it.
+    """
     if X.num_lines != Y.num_lines:
         return False
     if sorted(len(b) for b in X.blocks) != sorted(len(b) for b in Y.blocks):
@@ -253,46 +278,45 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
         return False
 
     n = X.num_lines
-    blocks_x = set(X.blocks)
-    blocks_y = set(Y.blocks)
+    pair_x, pair_y = _pair_blocks(X), _pair_blocks(Y)
+    # block sizes, with a trailing 0 read by the index -1 of an unshared pair
+    size_x = [len(b) for b in X.blocks] + [0]
+    size_y = [len(b) for b in Y.blocks] + [0]
     # map most-constrained lines first
     order = sorted(range(n), key=lambda i: (-len(sig_x[i]), sig_x[i]))
     mapping = [-1] * n
     used = [False] * n
-
-    blocks_of_x = [[b for b in X.blocks if i in b] for i in range(n)]
-
-    def consistent(i: int, j: int) -> bool:
-        if sig_x[i] != sig_y[j]:
-            return False
-        # every fully-mapped block through i must land on a block of Y
-        for b in blocks_of_x[i]:
-            img = set()
-            complete = True
-            for u in b:
-                v = j if u == i else mapping[u]
-                if v == -1:
-                    complete = False
-                    break
-                img.add(v)
-            if complete and frozenset(img) not in blocks_y:
-                return False
-        return True
+    image = [-1] * len(X.blocks)      # X block -> Y block
+    preimage = [-1] * len(Y.blocks)
 
     def extend(pos: int) -> bool:
         if pos == n:
-            mapped = {frozenset(mapping[u] for u in b) for b in blocks_x}
-            return mapped == blocks_y
+            return True
         i = order[pos]
+        row_x = pair_x[i]
         for j in range(n):
-            if used[j] or not consistent(i, j):
+            if used[j] or sig_x[i] != sig_y[j]:
                 continue
-            mapping[i] = j
-            used[j] = True
-            if extend(pos + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
+            row_y = pair_y[j]
+            assigned = []
+            for u in order[:pos]:
+                bx, by = row_x[u], row_y[mapping[u]]
+                if size_x[bx] != size_y[by]:
+                    break
+                if bx >= 0 and image[bx] != by:
+                    if image[bx] >= 0 or preimage[by] >= 0:
+                        break
+                    image[bx], preimage[by] = by, bx
+                    assigned.append(bx)
+            else:
+                mapping[i] = j
+                used[j] = True
+                if extend(pos + 1):
+                    return True
+                used[j] = False
+            for bx in assigned:
+                preimage[image[bx]] = -1
+                image[bx] = -1
         return False
 
     return extend(0)

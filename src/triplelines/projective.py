@@ -3,7 +3,9 @@
 Both points and lines are homogeneous triples normalized so that the first
 nonzero coordinate is 1, giving O(1) structural equality. Incidence is a
 vanishing dot product, join/meet are cross products, and collinearity or
-concurrency is a vanishing 3x3 determinant.
+concurrency is a vanishing 3x3 determinant. The meet of two lines is computed
+on element indices through the field tables (_meet_key), which is what the
+intersection profiles of arrangements run on.
 """
 
 from __future__ import annotations
@@ -35,21 +37,37 @@ def _normalize(field: FieldSpec, coords) -> tuple[FieldElement, FieldElement, Fi
 
 
 class _Homogeneous:
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_key")
 
     def __init__(self, field: FieldSpec, coords):
         self.field = field
         self.coords = _normalize(field, coords)
+        self._key = None
+
+    @classmethod
+    def _from_key(cls, field: FieldSpec, key: tuple):
+        """The element whose normalized index triple is key, taken as it is."""
+        obj = cls.__new__(cls)
+        obj.field = field
+        obj.coords = tuple(FieldElement(field, i) for i in key)
+        obj._key = key
+        return obj
 
     def key(self) -> tuple:
-        return tuple(c.index for c in self.coords)
+        """The normalized coordinates as element indices, computed once."""
+        if self._key is None:
+            self._key = tuple(c.index for c in self.coords)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.field == other.field
                 and self.key() == other.key())
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.field.key(), self.key()))
+        # hashing leaves an uncached key uncached: a plane's points and lines
+        # are hashed once each, and keeping their keys would only cost memory
+        key = self._key or tuple(c.index for c in self.coords)
+        return hash((type(self).__name__, self.field.key(), key))
 
     def __lt__(self, other) -> bool:
         return self.key() < other.key()
@@ -110,12 +128,32 @@ def join(P: ProjPoint, Q: ProjPoint) -> ProjLine:
     return ProjLine(P.field, cross(P.coords, Q.coords))
 
 
+def _meet_key(F: FieldSpec, a: tuple, b: tuple) -> tuple:
+    """Normalized index triple of the meet of the lines with normalized index
+    triples a and b: the cross product a x b over the field tables, scaled so
+    that its first nonzero entry is 1.
+
+    Raises IdenticalArguments when a == b (the cross product vanishes).
+    """
+    add, mul, neg = F.add_table, F.mul_table, F.neg_table
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    x = add[mul[a1][b2]][neg[mul[a2][b1]]]
+    y = add[mul[a2][b0]][neg[mul[a0][b2]]]
+    z = add[mul[a0][b1]][neg[mul[a1][b0]]]
+    pivot = x or y or z
+    if pivot == 1:
+        return (x, y, z)
+    if not pivot:
+        raise IdenticalArguments(f"meet of identical lines with key {a}")
+    scale = mul[F.inv_table[pivot]]
+    return (scale[x], scale[y], scale[z])
+
+
 def meet(L1: ProjLine, L2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines."""
     _check_same_field(L1, L2)
-    if L1 == L2:
-        raise IdenticalArguments(f"meet of identical lines {L1!r}")
-    return ProjPoint(L1.field, cross(L1.coords, L2.coords))
+    return ProjPoint._from_key(L1.field, _meet_key(L1.field, L1.key(), L2.key()))
 
 
 def collinear(P: ProjPoint, Q: ProjPoint, R: ProjPoint) -> bool:

@@ -34,41 +34,54 @@ class TorsionModel:
 
 
 def torsion_model(p: int) -> TorsionModel:
-    """Blocks and tangent pairs of the p-torsion group (Z/p)^2."""
+    """Blocks and tangent pairs of the p-torsion group (Z/p)^2.
+
+    Each secant block is generated once, as P < Q < R = -P-Q, so the blocks
+    come out in lexicographic order of their sorted points.
+    """
     if not is_prime(p) or p == 2:
         raise NonPrime(f"p = {p} is not an odd prime")
     points = tuple(itertools.product(range(p), repeat=2))
-    blocks = set()
-    for P, Q in itertools.combinations(points, 2):
-        R = ((-P[0] - Q[0]) % p, (-P[1] - Q[1]) % p)
-        if R != P and R != Q:
-            blocks.add(frozenset((P, Q, R)))
-    pairs = set()
+    blocks = []
+    for n, P in enumerate(points):
+        for Q in points[n + 1:]:
+            R = ((-P[0] - Q[0]) % p, (-P[1] - Q[1]) % p)
+            if R > Q:
+                blocks.append(frozenset((P, Q, R)))
+    pairs = []
     if p >= 5:
-        for X in points:
-            if X == (0, 0):
-                continue
+        # X -> -2X has no fixed point and no 2-cycle (3X != 0), so each pair
+        # arises from exactly one nonzero X
+        for X in points[1:]:
             Y = ((-2 * X[0]) % p, (-2 * X[1]) % p)
-            pairs.add(frozenset((X, Y)))
-    return TorsionModel(p, points, tuple(sorted(blocks, key=sorted)),
-                        tuple(sorted(pairs, key=sorted)), special_case=(p == 3))
+            pairs.append((X, Y) if X < Y else (Y, X))
+        pairs.sort()
+    return TorsionModel(p, points, tuple(blocks),
+                        tuple(frozenset(pair) for pair in pairs), special_case=(p == 3))
 
 
 def linearity_check(model: TorsionModel) -> bool:
     """Every point pair lies in exactly one block or tangent pair.
 
     This is the consistency that makes the dual a genuine line arrangement:
-    two points determine one line.
+    two points determine one line. Pairs are counted in a flat array over
+    the point positions in model.points (x*p + y); a point outside them
+    fails the check.
     """
-    seen: dict[frozenset, int] = {}
-    for blk in model.secant_blocks:
-        for pair in itertools.combinations(sorted(blk), 2):
-            key = frozenset(pair)
-            seen[key] = seen.get(key, 0) + 1
-    for pair in model.tangent_pairs:
-        seen[pair] = seen.get(pair, 0) + 1
-    expected = {frozenset(c) for c in itertools.combinations(model.points, 2)}
-    return set(seen) == expected and all(v == 1 for v in seen.values())
+    code = {X: i for i, X in enumerate(model.points)}
+    n = len(code)
+    covered = bytearray(n * n)
+    for group in itertools.chain(model.secant_blocks, model.tangent_pairs):
+        try:
+            codes = sorted(code[X] for X in group)
+        except KeyError:
+            return False
+        for a, b in itertools.combinations(codes, 2):
+            k = a * n + b
+            if covered[k]:
+                return False
+            covered[k] = 1
+    return sum(covered) == n * (n - 1) // 2
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Field construction, arithmetic, root finding and the field axioms."""
 
+import pickle
+
 import pytest
 
 from triplelines.errors import (
@@ -12,6 +14,7 @@ from triplelines.errors import (
     ZeroPolynomial,
 )
 from triplelines.field import (
+    FieldSpec,
     _poly_mul,
     _trim,
     cube_roots_of_unity,
@@ -155,6 +158,30 @@ def test_division_by_zero():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         make_field(5)(1) + make_field(7)(1)
+
+
+def test_field_built_outside_the_cache_mixes_with_cached_elements():
+    cached = make_field(5)
+    fresh = FieldSpec(5, 1, (0, 1))
+    assert fresh is not cached
+    assert fresh == cached and cached == fresh and hash(fresh) == hash(cached)
+    assert fresh(2) + cached(3) == cached(0)
+    assert cached(2) * fresh(3) == fresh(1)
+    assert fresh(4) == cached(4) and hash(fresh(4)) == hash(cached(4))
+    assert pickle.loads(pickle.dumps(fresh)) is cached
+
+
+def test_elements_of_different_fields_do_not_mix():
+    gf8 = make_field(2, 3)
+    other_gf8 = make_field(2, 3, (1, 0, 1, 1))
+    assert gf8 != other_gf8
+    for a, b in [(gf8(1), other_gf8(1)), (make_field(2)(1), make_field(2, 2)(1)),
+                 (make_field(3)(1), make_field(3, 2)(1))]:
+        with pytest.raises(FieldMismatch):
+            a + b
+        with pytest.raises(FieldMismatch):
+            b * a
+        assert a != b
 
 
 def test_element_canonical_form():

@@ -8,9 +8,15 @@ import pytest
 
 from conftest import brute_force_tvec, random_arrangement
 
-from triplelines.certificates import dual_hesse_from_pg23, instantiate
+from triplelines.certificates import (
+    CERTIFICATE_NAMES,
+    builtin,
+    dual_hesse_from_pg23,
+    instantiate,
+)
+from triplelines.constraints import default_battery
 from triplelines.errors import IndexOutOfRange, UnknownLabel
-from triplelines.field import make_field
+from triplelines.field import make_field, roots_of
 from triplelines.incidence import (
     AbstractIncidence,
     Arrangement,
@@ -26,7 +32,7 @@ from triplelines.incidence import (
     save_arrangement,
     table,
 )
-from triplelines.projective import ProjLine, enumerate_lines, incident, meet
+from triplelines.projective import ProjLine, ProjPoint, cross, enumerate_lines, incident, meet
 
 
 def lines_of(F, coords):
@@ -102,6 +108,43 @@ def test_profile_parity_abstract_match_all_pairs_oracle(rng):
         assert [r.point_multiplicities for r in parity_check(A, prof).rows] == mults
         assert abstract(A, prof).blocks == blocks
         assert table(A).column_sums() == tuple(points[P] for P in sorted(points))
+
+
+def _assert_profile_matches_cross_products(A):
+    """profile() against meets taken as FieldElement cross products."""
+    through = {}
+    for (i, L1), (j, L2) in itertools.combinations(enumerate(A.lines), 2):
+        P = ProjPoint(A.field, cross(L1.coords, L2.coords))
+        assert meet(L1, L2) == P
+        through.setdefault(P, set()).update((i, j))
+    lines_through = [(P, tuple(sorted(through[P]))) for P in sorted(through)]
+    prof = profile(A)
+    assert list(prof.lines_through.items()) == lines_through
+    assert [P.key() for P in prof.lines_through] == sorted(P.key() for P in through)
+    assert [P.coords for P in prof.lines_through] == [P.coords for P, _ in lines_through]
+    assert all(P.field is A.field for P in prof.lines_through)
+    assert list(prof.points.items()) == [(P, len(ix)) for P, ix in lines_through]
+    assert list(prof.tvec.items()) == sorted(Counter(len(ix) for _, ix in lines_through).items())
+
+
+def test_profile_matches_cross_products_on_certificates():
+    for name in CERTIFICATE_NAMES:
+        cert = builtin(name)
+        for F in default_battery():
+            if cert.eligibility(F) is not None:
+                continue
+            values = roots_of(cert.param.poly, F) if cert.param else [None]
+            for value in values:
+                _assert_profile_matches_cross_products(instantiate(cert, F, value))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_profile_matches_cross_products_on_random_arrangements(p, k, rng):
+    F = make_field(p, k)
+    lines = enumerate_lines(F)
+    for s in range(2, min(len(lines), 13)):
+        for _ in range(3):
+            _assert_profile_matches_cross_products(Arrangement(F, rng.sample(lines, s)))
 
 
 def test_single_line_profile(gf5):
@@ -285,6 +328,10 @@ def test_isomorphic_reflexive_symmetric_on_certificates(rng):
 
 
 def test_isomorphic_cross_checked_with_networkx(gf5, rng):
+    """Random arrangements, plus maximal packings of triangles into K9 and
+    K10 and sparse spaces of 2- and 3-blocks on six lines (pairs in no
+    block): these often share their line signatures without being
+    isomorphic, so the backtracking has work to do."""
     networkx = pytest.importorskip("networkx")
     from networkx.algorithms import isomorphism as nxiso
 
@@ -298,14 +345,45 @@ def test_isomorphic_cross_checked_with_networkx(gf5, rng):
                 g.add_edge(("block", j), ("line", i))
         return g
 
-    for _ in range(10):
-        A = random_arrangement(gf5, 6, rng)
-        B = random_arrangement(gf5, 6, rng)
-        ab_a, ab_b = abstract(A), abstract(B)
+    def packing(n, sizes, max_blocks):
+        candidates = [c for k in sizes for c in itertools.combinations(range(n), k)]
+        rng.shuffle(candidates)
+        covered, blocks = set(), []
+        for c in candidates:
+            pairs = set(itertools.combinations(c, 2))
+            if not pairs & covered and len(blocks) < max_blocks:
+                covered |= pairs
+                blocks.append(frozenset(c))
+        return AbstractIncidence(n, tuple(blocks))
+
+    def relabelled(ab):
+        perm = list(range(ab.num_lines))
+        rng.shuffle(perm)
+        return AbstractIncidence(ab.num_lines,
+                                 tuple(frozenset(perm[i] for i in b) for b in ab.blocks))
+
+    def signature(ab):
+        sig = [[] for _ in range(ab.num_lines)]
+        for b in ab.blocks:
+            for i in b:
+                sig[i].append(len(b))
+        return sorted(map(sorted, sig))
+
+    pairs = [(abstract(random_arrangement(gf5, 6, rng)),
+              abstract(random_arrangement(gf5, 6, rng))) for _ in range(10)]
+    corpus = [packing(n, (3,), n * n) for n in (9, 10) for _ in range(15)]
+    corpus += [packing(6, (2, 3), 5) for _ in range(80)]
+    corpus += [relabelled(X) for X in corpus[::3]]
+    pairs += [(X, Y) for X, Y in itertools.combinations(corpus, 2)
+              if X.num_lines == Y.num_lines and signature(X) == signature(Y)]
+    answers = Counter()
+    for X, Y in pairs:
         expected = nxiso.GraphMatcher(
-            to_graph(ab_a), to_graph(ab_b),
+            to_graph(X), to_graph(Y),
             node_match=lambda x, y: x["kind"] == y["kind"]).is_isomorphic()
-        assert isomorphic(ab_a, ab_b) == expected
+        assert isomorphic(X, Y) == expected
+        answers[expected] += 1
+    assert answers[True] >= 10 and answers[False] >= 10
 
 
 # ---------------------------------------------------------------------------

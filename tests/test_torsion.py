@@ -1,6 +1,7 @@
 """Torsion configurations: enumeration versus closed forms, duality, linearity."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -61,6 +62,40 @@ def test_linearity_detects_corruption():
     truncated = TorsionModel(m.p, m.points, m.secant_blocks[:-1],
                              m.tangent_pairs, m.special_case)
     assert not linearity_check(truncated)
+
+
+def test_linearity_rejects_a_pair_covered_many_times():
+    m = torsion_model(5)
+    extra = m.secant_blocks[0]
+    repeated = TorsionModel(m.p, m.points, m.secant_blocks + (extra,) * 300,
+                            m.tangent_pairs, m.special_case)
+    assert not linearity_check(repeated)
+
+
+def test_linearity_rejects_a_point_outside_the_group():
+    m = torsion_model(5)
+    stray = TorsionModel(m.p, m.points, m.secant_blocks[:-1] + (frozenset({(0, 5)}),),
+                         m.tangent_pairs, m.special_case)
+    assert not linearity_check(stray)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_model_matches_deduplicated_enumeration(p):
+    """Blocks from every point pair, deduplicated as sets and sorted, are the
+    blocks the model generates once each."""
+    points = list(itertools.product(range(p), repeat=2))
+    blocks = set()
+    for P, Q in itertools.combinations(points, 2):
+        R = ((-P[0] - Q[0]) % p, (-P[1] - Q[1]) % p)
+        if R not in (P, Q):
+            blocks.add(frozenset((P, Q, R)))
+    pairs = set()
+    if p >= 5:
+        pairs = {frozenset((X, ((-2 * X[0]) % p, (-2 * X[1]) % p))) for X in points[1:]}
+    m = torsion_model(p)
+    assert m.points == tuple(points)
+    assert m.secant_blocks == tuple(sorted(blocks, key=sorted))
+    assert m.tangent_pairs == tuple(sorted(pairs, key=sorted))
 
 
 def test_dual_counts_p5():
