@@ -340,6 +340,10 @@ def builtin(name: str) -> Certificate:
 
 def _resolve_param(cert: Certificate, F: FieldSpec,
                    param: Optional[FieldElement]) -> Optional[FieldElement]:
+    """Check that F is eligible, then resolve the parameter (one root scan)."""
+    reason = cert.eligibility(F)
+    if reason is not None:
+        raise IneligibleField(f"{cert.name} over {F!r}: {reason}")
     if cert.param is None:
         if param is not None:
             raise IneligibleField(f"{cert.name} takes no parameter")
@@ -356,26 +360,29 @@ def _resolve_param(cert: Certificate, F: FieldSpec,
     return param
 
 
-def instantiate(cert: Certificate | str, F: FieldSpec,
-                param: Optional[FieldElement] = None) -> Arrangement:
-    """Concrete arrangement of a certificate over an eligible field."""
-    if isinstance(cert, str):
-        cert = builtin(cert)
-    reason = cert.eligibility(F)
-    if reason is not None:
-        raise IneligibleField(f"{cert.name} over {F!r}: {reason}")
-    value = _resolve_param(cert, F, param)
+def _arrangement(cert: Certificate, F: FieldSpec, value) -> Arrangement:
     labelled = cert.lines_fn(F, value)
     lines = [ProjLine(F, coords) for _, coords in labelled]
     return Arrangement(F, lines, [label for label, _ in labelled])
 
 
-def expected_points(cert: Certificate, F: FieldSpec,
-                    param: Optional[FieldElement] = None) -> list[tuple[str, ProjPoint]]:
+def _points(cert: Certificate, F: FieldSpec, value) -> list[tuple[str, ProjPoint]]:
     if cert.points_fn is None:
         return []
-    value = _resolve_param(cert, F, param)
     return [(label, ProjPoint(F, coords)) for label, coords in cert.points_fn(F, value)]
+
+
+def instantiate(cert: Certificate | str, F: FieldSpec,
+                param: Optional[FieldElement] = None) -> Arrangement:
+    """Concrete arrangement of a certificate over an eligible field."""
+    if isinstance(cert, str):
+        cert = builtin(cert)
+    return _arrangement(cert, F, _resolve_param(cert, F, param))
+
+
+def expected_points(cert: Certificate, F: FieldSpec,
+                    param: Optional[FieldElement] = None) -> list[tuple[str, ProjPoint]]:
+    return _points(cert, F, _resolve_param(cert, F, param))
 
 
 def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElement]):
@@ -383,7 +390,7 @@ def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElemen
     if isinstance(cert, str):
         cert = builtin(cert)
     value = _resolve_param(cert, F, param)
-    return cert, value, instantiate(cert, F, value), expected_points(cert, F, value)
+    return cert, value, _arrangement(cert, F, value), _points(cert, F, value)
 
 
 def verify(cert: Certificate | str, F: FieldSpec,

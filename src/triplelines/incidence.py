@@ -13,6 +13,7 @@ format used by the CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -214,49 +215,42 @@ class AbstractIncidence:
     """Blocks of line indices, one per intersection point of multiplicity >= 2.
 
     A partial linear space: two line indices share at most one block.
+    Construction checks that while it fills the n x n pair-block matrix
+    `pair` (pair[u][v] is the index of the block holding lines u and v, -1
+    for none) and `signature` (per line, the sorted sizes of the blocks
+    through it), which isomorphic() reads.
     """
 
     num_lines: int
     blocks: tuple  # tuple of frozensets of line indices
+    pair: list = dataclasses.field(init=False, repr=False, compare=False)
+    signature: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for b1, b2 in itertools.combinations(self.blocks, 2):
-            inter = b1 & b2
-            if len(inter) > 1:
-                raise ValueError("two lines meet in more than one block")
-        for b in self.blocks:
+        n = self.num_lines
+        pair = [[-1] * n for _ in range(n)]
+        sizes = [[] for _ in range(n)]
+        for k, b in enumerate(self.blocks):
+            # checked first: an index of -1 would wrap around the matrix
             if len(b) < 2:
                 raise ValueError("blocks record concurrences of at least two lines")
-            if min(b) < 0 or max(b) >= self.num_lines:
+            if min(b) < 0 or max(b) >= n:
                 raise ValueError("block indices out of range")
-            seen.add(b)
-        if len(seen) != len(self.blocks):
-            raise ValueError("duplicate blocks")
+            for u, v in itertools.combinations(b, 2):
+                if pair[u][v] >= 0:
+                    # also catches a block listed twice
+                    raise ValueError("two lines meet in more than one block")
+                pair[u][v] = pair[v][u] = k
+            for u in b:
+                sizes[u].append(len(b))
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "signature", [tuple(sorted(s)) for s in sizes])
 
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:
     prof = prof or profile(A)
     ordered = sorted(prof.lines_through.values(), key=lambda ix: (len(ix), ix))
     return AbstractIncidence(A.s, tuple(frozenset(ix) for ix in ordered))
-
-
-def _line_signature(X: AbstractIncidence) -> list[tuple]:
-    """Per line, the sorted multiset of sizes of blocks containing it."""
-    sig = [[] for _ in range(X.num_lines)]
-    for b in X.blocks:
-        for i in b:
-            sig[i].append(len(b))
-    return [tuple(sorted(s)) for s in sig]
-
-
-def _pair_blocks(X: AbstractIncidence) -> list[list[int]]:
-    """The n x n matrix of the block holding each pair of lines, -1 for none."""
-    pair = [[-1] * X.num_lines for _ in range(X.num_lines)]
-    for k, b in enumerate(X.blocks):
-        for u, v in itertools.permutations(b, 2):
-            pair[u][v] = k
-    return pair
 
 
 def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
@@ -273,12 +267,12 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
         return False
     if sorted(len(b) for b in X.blocks) != sorted(len(b) for b in Y.blocks):
         return False
-    sig_x, sig_y = _line_signature(X), _line_signature(Y)
+    sig_x, sig_y = X.signature, Y.signature
     if sorted(sig_x) != sorted(sig_y):
         return False
 
     n = X.num_lines
-    pair_x, pair_y = _pair_blocks(X), _pair_blocks(Y)
+    pair_x, pair_y = X.pair, Y.pair
     # block sizes, with a trailing 0 read by the index -1 of an unshared pair
     size_x = [len(b) for b in X.blocks] + [0]
     size_y = [len(b) for b in Y.blocks] + [0]

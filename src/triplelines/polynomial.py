@@ -131,9 +131,6 @@ class IntPolynomial:
         """True when the two polynomials agree up to a nonzero rational factor."""
         return self.content_normalized() == other.content_normalized()
 
-    def max_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
-
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, FieldElement], F: FieldSpec) -> FieldElement:

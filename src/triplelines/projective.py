@@ -182,7 +182,7 @@ def _enumerate_triples(F: FieldSpec):
     elems = F.elements()
     # normalized representatives in lexicographic coordinate order; with
     # coordinates read as element indices, (0:0:1) comes first, (0:1:z) has
-    # position 1 + z and (1:y:z) position 1 + q + q*y + z
+    # position 1 + z and (1:y:z) position 1 + q + q*y + z (triple_position)
     out = [(F.zero, F.zero, one)]
     for c in elems:
         out.append((F.zero, one, c))
@@ -190,6 +190,13 @@ def _enumerate_triples(F: FieldSpec):
         for c in elems:
             out.append((one, b, c))
     return out
+
+
+def triple_position(q: int, key: tuple) -> int:
+    """Position of the normalized index triple key in _enumerate_triples
+    order over a field of order q: the inverse of that enumeration."""
+    a, b, c = key
+    return 1 + q + q * b + c if a else 1 + c if b else 0
 
 
 def line_point_indices(F: FieldSpec) -> list[tuple[int, ...]]:

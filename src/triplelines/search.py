@@ -42,17 +42,11 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import lshift, or_
-from typing import Optional, Sequence
+from typing import Optional
 
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
-from .projective import (
-    ProjLine,
-    as_line,
-    enumerate_lines,
-    enumerate_points,
-    line_point_indices,
-)
+from .projective import as_line, enumerate_lines, line_point_indices, triple_position
 
 
 class Plane:
@@ -67,10 +61,8 @@ class Plane:
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.points = enumerate_points(field)
         self.lines = enumerate_lines(field)
         self.line_points = line_point_indices(field)
-        self.line_index = {L: i for i, L in enumerate(self.lines)}
 
     @classmethod
     def of(cls, field: FieldSpec) -> "Plane":
@@ -167,9 +159,7 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
         for u in coords:
             a, b, c = image(u)
             scale = mul[inv[a or b or c]]
-            a, b, c = scale[a], scale[b], scale[c]
-            # position of the normalized line in enumerate_lines order
-            out.append(1 + q + q * b + c if a else 1 + c if b else 0)
+            out.append(triple_position(q, (scale[a], scale[b], scale[c])))
         return tuple(out)
 
     def linear(rows):
@@ -210,25 +200,30 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
 class _Searcher:
     """Depth-first search over the candidates, below the fixed lines.
 
+    The fixed lines are the frame lines x, y, z, x+y+z when use_frame is
+    set, else none; the candidates are the other lines in ascending id order.
+
     A node's state is a value (chosen, m1, m2, m3, m4): the tuple of chosen
     line ids and four bit masks over point indices holding the points met by
     exactly 1, 2 and 3 chosen lines and by 4 or more. A child's state is built
     from its line's point mask and passed down, so nothing is undone on the
     way back. branch() explores one first-choice subtree.
 
-    The fixed lines are the frame when there are any; the search then also
-    carries X, the mask of chosen candidate positions, and its image under
-    each non-identity element of the frame stabilizer. Candidate position i
-    is bit n-1-i, so of two subsets of equal size the one whose sorted
-    positions come first lexicographically is the larger int, and a child is
-    cut when one of its images exceeds X.
+    With the frame the search also carries X, the mask of chosen candidate
+    ids, and its image under each non-identity element of the frame
+    stabilizer, which maps candidates to candidates. Line id i is bit
+    top-i, so of two subsets of equal size the one whose sorted ids come
+    first lexicographically is the larger int, and a child is cut when one
+    of its images exceeds X.
     """
 
-    def __init__(self, cfg: SearchConfig, plane: Plane, candidates: Sequence[int],
-                 fixed: Sequence[int]):
+    def __init__(self, cfg: SearchConfig, plane: Plane, use_frame: bool):
         self.cfg = cfg
-        self.candidates = candidates
-        q1 = cfg.field.order + 1               # points per line
+        q = cfg.field.order
+        fixed = [triple_position(q, key) for key in FRAME_COORDS] if use_frame else []
+        self.candidates = candidates = [i for i in range(len(plane.lines))
+                                        if i not in fixed]
+        q1 = q + 1                             # points per line
         s = cfg.s
         cap_suffix = [0] * (s + 1)
         for k in range(s - 1, -1, -1):
@@ -252,16 +247,15 @@ class _Searcher:
             by_multiplicity[min(m, 4)] |= 1 << point
         self.root = (tuple(fixed), *by_multiplicity[1:])
 
-        # bit[i] is the bit of candidate position i; images[i] holds the bit
-        # of its image under each non-identity group element, as ints from
-        # one shared list; 1 << bit is made on the fly, since storing those
-        # wide ints per candidate and element costs megabytes at GF(27)
-        n = len(candidates)
-        self.bit = list(range(n - 1, -1, -1))
-        group = frame_stabilizer(plane) if fixed else [()]
+        # bit[i] is the bit of candidates[i]; images[i] holds the bit of its
+        # image under each non-identity group element, as ints from one
+        # shared list; 1 << bit is made on the fly, since storing those wide
+        # ints per candidate and element costs megabytes at GF(27)
+        bit_of = list(range(len(plane.lines) - 1, -1, -1))
+        self.bit = [bit_of[line_id] for line_id in candidates]
+        group = frame_stabilizer(plane) if use_frame else [()]
         self.group_order = len(group)
-        position = {line_id: i for i, line_id in enumerate(candidates)}
-        self.images = [tuple(self.bit[position[g[line_id]]] for g in group[1:])
+        self.images = [tuple(bit_of[g[line_id]] for g in group[1:])
                        for line_id in candidates]
         self.root_images = (0,) * (len(group) - 1)
         self.best = -1
@@ -350,37 +344,30 @@ class _Searcher:
 
 
 @lru_cache(maxsize=1)
-def _worker_searcher(cfg: SearchConfig, candidates: tuple, fixed: tuple) -> _Searcher:
-    return _Searcher(cfg, Plane.of(cfg.field), candidates, fixed)
+def _worker_searcher(cfg: SearchConfig, use_frame: bool) -> _Searcher:
+    return _Searcher(cfg, Plane.of(cfg.field), use_frame)
 
 
-def _pool_branch(cfg: SearchConfig, candidates: tuple, fixed: tuple,
-                 first: int) -> tuple:
+def _pool_branch(cfg: SearchConfig, use_frame: bool, first: int) -> tuple:
     """Worker entry: one branch with no incumbent and the whole node budget.
 
     A worker process builds its searcher (masks, group) once, for its first
     branch, and reuses it for the branches of the same run that follow.
     """
-    return _worker_searcher(cfg, candidates, fixed).branch(first, cfg.max_nodes, -1)
+    return _worker_searcher(cfg, use_frame).branch(first, cfg.max_nodes, -1)
 
 
-def max_triple_search(cfg: SearchConfig,
-                      candidate_order: Optional[list[int]] = None) -> SearchReport:
+def max_triple_search(cfg: SearchConfig) -> SearchReport:
     """Maximize the triple-point count over s-line subsets of PG(2,q).
 
     The tree below the fixed lines has one branch per first chosen candidate.
     Branches run here with the remaining budget and the incumbent, or on
     worker processes; a worker result that overruns the remaining budget is
     recomputed here. Results merge in branch order in both modes.
-    candidate_order, if given, must list every line id of the plane exactly
-    once; the frame lines are dropped from it when the frame is on.
     """
     plane = Plane.of(cfg.field)
     notes = []
     n_lines = len(plane.lines)
-    if candidate_order is not None and sorted(candidate_order) != list(range(n_lines)):
-        raise ValueError(f"candidate_order must list each of the {n_lines} "
-                         f"line ids 0..{n_lines - 1} exactly once")
     if cfg.s > n_lines:
         notes.append(f"PG(2,{cfg.field.order}) has only {n_lines} lines; "
                      f"no arrangement of s={cfg.s} exists")
@@ -392,31 +379,24 @@ def max_triple_search(cfg: SearchConfig,
         notes.append("frame normalization skipped for s < 5 "
                      "(optimal arrangements may lack four general-position lines)")
 
-    fixed: list[int] = []
+    searcher = _Searcher(cfg, plane, use_frame)
     if use_frame:
-        fixed = [plane.line_index[ProjLine(cfg.field, c)] for c in FRAME_COORDS]
+        k = cfg.field.k
         notes.append("frame normalization on: search restricted to arrangements "
                      "through x, y, z, x+y+z (covers every arrangement with four "
                      "lines in general position up to projectivity)")
-    fixed_set = set(fixed)
-    order = range(n_lines) if candidate_order is None else candidate_order
-    pool = [i for i in order if i not in fixed_set]
-
-    searcher = _Searcher(cfg, plane, pool, fixed)
-    if use_frame:
-        k = cfg.field.k
         notes.append(f"symmetry: only the lex-least subset of each orbit under the "
                      f"{searcher.group_order} collineations fixing the frame (24 "
                      f"projectivities x {k} field automorphism{'s' if k > 1 else ''}) "
                      f"is searched")
     best, witness_ids, nodes, target_stop = -1, [], 1, False
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
-    branches = len(pool) - (cfg.s - len(fixed)) + 1
+    branches = len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1
     if not budget_hit and searcher.root_ok() and branches > 0:
         executor, futures = None, []
         if cfg.threads > 1:
             executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
-            futures = [executor.submit(_pool_branch, cfg, tuple(pool), tuple(fixed), first)
+            futures = [executor.submit(_pool_branch, cfg, use_frame, first)
                        for first in range(branches)]
         try:
             for first in range(branches):

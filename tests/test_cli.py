@@ -64,6 +64,14 @@ def test_verify_exit_codes():
     assert run(["verify", "NOPE", "--field", "5"]).exit_code == 2
 
 
+def test_verify_names_the_characteristic_before_the_parameter():
+    # eligibility is checked before the parameter equation is solved
+    res = run(["verify", "TEN_E1", "--field", "5"])
+    assert res.exit_code == 2
+    assert "characteristic 5, need characteristic 2" in res.text
+    assert "no solution" not in res.text
+
+
 def test_verify_rejects_param_of_parameterless_certificate():
     res = run(["verify", "TEN_E2", "--field", "5", "--param", "2"])
     assert res.exit_code == 2

@@ -277,11 +277,24 @@ def test_abstract_blocks_are_partial_linear(gf5):
     ab = abstract(instantiate("TEN_E2", gf5))
     assert ab.num_lines == 10
     assert sorted(len(b) for b in ab.blocks) == [2] * 6 + [3] * 13
+    # the pair-block matrix and signatures, recounted from the blocks
+    for u, v in itertools.permutations(range(10), 2):
+        holding = [k for k, b in enumerate(ab.blocks) if {u, v} <= b]
+        assert [ab.pair[u][v]] == (holding or [-1])
+    assert ab.signature == [tuple(sorted(len(b) for b in ab.blocks if u in b))
+                            for u in range(10)]
 
 
-def test_abstract_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        AbstractIncidence(4, (frozenset({0, 1, 2}), frozenset({0, 1, 3})))
+@pytest.mark.parametrize("blocks, message", [
+    pytest.param([{0, 1, 2}, {0, 1, 3}], "more than one block", id="pair-in-two-blocks"),
+    pytest.param([{0, 1, 2}, {0, 1, 2}], "more than one block", id="duplicate-block"),
+    pytest.param([{0, 1, 2}, {3}], "at least two lines", id="one-line-block"),
+    pytest.param([{-1, 0, 1}], "out of range", id="index-minus-one"),
+    pytest.param([{0, 1, 4}], "out of range", id="index-num-lines"),
+])
+def test_abstract_rejects_bad_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        AbstractIncidence(4, tuple(frozenset(b) for b in blocks))
 
 
 def test_isomorphic_reflexive_and_relabelling(gf2, rng):

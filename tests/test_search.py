@@ -17,7 +17,13 @@ from triplelines.incidence import (
     isomorphic,
     profile,
 )
-from triplelines.projective import ProjLine, enumerate_lines, enumerate_points, incident
+from triplelines.projective import (
+    ProjLine,
+    enumerate_lines,
+    enumerate_points,
+    incident,
+    triple_position,
+)
 from triplelines.search import (
     FRAME_COORDS,
     Plane,
@@ -152,28 +158,6 @@ def test_witness_soundness(gf3, gf5):
             assert profile(w).triple_count(cfg.metric) == rep.best
 
 
-def test_candidate_order_does_not_change_best(gf3, rng):
-    n = len(enumerate_lines(gf3))
-    for s in (5, 6, 7):
-        base = max_triple_search(SearchConfig(field=gf3, s=s, normalize_frame=False))
-        order = list(range(n))
-        rng.shuffle(order)
-        shuffled = max_triple_search(
-            SearchConfig(field=gf3, s=s, normalize_frame=False), candidate_order=order)
-        assert base.best == shuffled.best
-
-
-@pytest.mark.parametrize("order", [
-    [5, 5, 5] + list(range(13)),       # duplicates
-    list(range(13)) + [13],            # an id outside the plane
-    list(range(8)),                    # missing ids: best would read 5, not 6
-])
-def test_candidate_order_must_permute_the_lines(gf3, order):
-    with pytest.raises(ValueError, match="candidate_order"):
-        max_triple_search(SearchConfig(field=gf3, s=7, normalize_frame=False),
-                          candidate_order=order)
-
-
 def test_frame_on_off_agreement(gf2, gf3, gf4):
     cases = [(gf2, 5), (gf2, 6), (gf2, 7), (gf3, 5), (gf3, 6), (gf3, 7),
              (gf3, 8), (gf3, 9), (gf4, 5), (gf4, 6), (gf4, 7), (gf4, 8), (gf4, 9)]
@@ -280,35 +264,36 @@ def test_plane_cache_counts(gf5):
     assert all(len(pts) == 6 for pts in plane.line_points)
 
 
-def _scanned_line_points(plane, lines):
+def _scanned_line_points(F, lines):
     # oracle: test every plane point against the line with a dot product
-    return [tuple(i for i, P in enumerate(plane.points) if incident(P, L))
-            for L in lines]
+    points = enumerate_points(F)
+    return [tuple(i for i, P in enumerate(points) if incident(P, L)) for L in lines]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2), (2, 4)])
 def test_plane_incidence_matches_point_line_scan(p, k):
-    plane = Plane.of(make_field(p, k))
-    assert plane.points == enumerate_points(plane.field)
-    assert plane.lines == enumerate_lines(plane.field)
-    assert plane.line_points == _scanned_line_points(plane, plane.lines)
-    assert all(plane.line_index[L] == i for i, L in enumerate(plane.lines))
+    F = make_field(p, k)
+    plane = Plane.of(F)
+    assert plane.lines == enumerate_lines(F)
+    assert plane.line_points == _scanned_line_points(F, plane.lines)
+    assert all(triple_position(F.order, L.key()) == i for i, L in enumerate(plane.lines))
 
 
 def test_plane_structure_gf81():
     F = make_field(3, 4)
     plane = Plane.of(F)
     q = F.order
-    assert len(plane.points) == len(plane.lines) == q * q + q + 1 == 6643
+    n = q * q + q + 1
+    assert len(plane.lines) == n == 6643
     for pts in plane.line_points:
         assert len(pts) == q + 1
         assert all(a < b for a, b in zip(pts, pts[1:]))
     assert Counter(p for pts in plane.line_points for p in pts) == \
-        {i: q + 1 for i in range(len(plane.points))}
-    sample = random.Random(81).sample(range(len(plane.lines)), 8)
+        {i: q + 1 for i in range(n)}
+    sample = random.Random(81).sample(range(n), 8)
     assert [plane.line_points[i] for i in sample] == \
-        _scanned_line_points(plane, [plane.lines[i] for i in sample])
+        _scanned_line_points(F, [plane.lines[i] for i in sample])
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +309,13 @@ def test_frame_stabilizer_is_the_collineation_group_of_the_frame(p, k):
     assert len(group) == len(set(group)) == 24 * k
     assert group[0] == tuple(range(n))
     assert all(sorted(g) == list(range(n)) for g in group)
-    frame = [plane.line_index[ProjLine(plane.field, c)] for c in FRAME_COORDS]
+    frame = [triple_position(plane.field.order, c) for c in FRAME_COORDS]
+    assert [plane.lines[i] for i in frame] == [ProjLine(plane.field, c) for c in FRAME_COORDS]
     # every permutation of the frame lines, each by the k field automorphisms
     assert Counter(tuple(g[i] for i in frame) for g in group) == \
         {perm: k for perm in itertools.permutations(frame)}
     # incidence: the lines through a point go to the lines through one point
-    through = [[] for _ in plane.points]
+    through = [[] for _ in range(n)]
     for line_id, pts in enumerate(plane.line_points):
         for point in pts:
             through[point].append(line_id)
@@ -351,24 +337,19 @@ def _subset_best(F, s):
 
 
 def test_symmetry_pruning_keeps_best_values(gf2, gf3, gf4, gf5):
-    rng = random.Random(24)
     cases = [(gf2, s) for s in (5, 6, 7)] + [(gf3, s) for s in range(5, 10)] + \
         [(gf4, s) for s in range(5, 10)] + [(gf5, 5)]
     for F, s in cases:
         oracle = None if F.order == 4 and s > 5 else _subset_best(F, s)
-        order = list(range(F.order ** 2 + F.order + 1))
-        rng.shuffle(order)
         for metric in ("exact3", "atleast3"):
             off = max_triple_search(SearchConfig(field=F, s=s, metric=metric,
                                                  normalize_frame=False))
-            for candidate_order in (None, order):
-                on = max_triple_search(SearchConfig(field=F, s=s, metric=metric),
-                                       candidate_order=candidate_order)
-                assert any(f"under the {24 * F.k} collineations" in n for n in on.notes)
-                assert ((on.best, on.exhaustive, on.best_is_maximum)
-                        == (off.best, off.exhaustive, off.best_is_maximum)), (F, s)
-                if oracle is not None:
-                    assert on.best == oracle[metric], (F, s, metric)
+            on = max_triple_search(SearchConfig(field=F, s=s, metric=metric))
+            assert any(f"under the {24 * F.k} collineations" in n for n in on.notes)
+            assert ((on.best, on.exhaustive, on.best_is_maximum)
+                    == (off.best, off.exhaustive, off.best_is_maximum)), (F, s)
+            if oracle is not None:
+                assert on.best == oracle[metric], (F, s, metric)
             if F.order == 2:
                 assert on.best == brute_force_best_triples(F, s, metric), (s, metric)
 
