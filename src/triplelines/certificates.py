@@ -92,22 +92,10 @@ def _char5(F: FieldSpec) -> Optional[str]:
     return None if F.p == 5 else f"characteristic {F.p}, need characteristic 5"
 
 
-def _char2_with_cube_root(F: FieldSpec) -> Optional[str]:
-    if F.p != 2:
-        return f"characteristic {F.p}, need characteristic 2"
-    if not roots_of((1, 1, 1), F):
-        return "x^2+x+1 has no root (no nontrivial cube root of unity)"
-    return None
-
-
-def _golden_odd_char(F: FieldSpec) -> Optional[str]:
-    if F.p == 2:
-        # in characteristic 2 the defining roots exist but the sixteen
-        # special points degenerate (P_15 = P_16)
-        return "characteristic 2 collapses the configuration"
-    if not roots_of((-1, 1, 1), F):
-        return "x^2+x-1 has no root"
-    return None
+def _odd_char(F: FieldSpec) -> Optional[str]:
+    # in characteristic 2 the golden-ratio roots exist but the sixteen
+    # special points of ELEVEN_16 degenerate (P_15 = P_16)
+    return "characteristic 2 collapses the configuration" if F.p == 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +297,8 @@ _register(Certificate(
 _register(Certificate(
     name="TEN_E1",
     description="ten lines: one 4-fold point, twelve triple points, three doubles",
-    tvec={4: 1, 3: 12, 2: 3}, eligibility=_char2_with_cube_root,
-    param=ParamSpec("a", (1, 1, 1), "a^2+a+1 = 0"),
+    tvec={4: 1, 3: 12, 2: 3}, eligibility=_char2,
+    param=ParamSpec("a", (1, 1, 1), "a^2+a+1 = 0 (a nontrivial cube root of unity)"),
     lines_fn=_ten_e1_lines, points_fn=_ten_e1_points, table=TEN_E1_TABLE))
 
 _register(Certificate(
@@ -322,8 +310,8 @@ _register(Certificate(
 _register(Certificate(
     name="ELEVEN_16",
     description="eleven lines with sixteen triple points (golden-ratio parameter)",
-    tvec={3: 16, 2: 7}, eligibility=_golden_odd_char,
-    param=ParamSpec("b", (-1, 1, 1), "b^2+b-1 = 0"),
+    tvec={3: 16, 2: 7}, eligibility=_odd_char,
+    param=ParamSpec("b", (-1, 1, 1), "b^2+b-1 = 0 (the golden ratio)"),
     lines_fn=_eleven_lines, points_fn=_eleven_points, table=ELEVEN_16_TABLE))
 
 
@@ -340,7 +328,8 @@ def builtin(name: str) -> Certificate:
 
 def _resolve_param(cert: Certificate, F: FieldSpec,
                    param: Optional[FieldElement]) -> Optional[FieldElement]:
-    """Check that F is eligible, then resolve the parameter (one root scan)."""
+    """Check the characteristic, then resolve the parameter: the one root scan
+    of its polynomial also rejects a field that has no root."""
     reason = cert.eligibility(F)
     if reason is not None:
         raise IneligibleField(f"{cert.name} over {F!r}: {reason}")
@@ -351,7 +340,7 @@ def _resolve_param(cert: Certificate, F: FieldSpec,
     roots = roots_of(cert.param.poly, F)
     if not roots:
         raise IneligibleField(
-            f"{cert.name} over {F!r}: {cert.param.condition} has no solution")
+            f"{cert.name} over {F!r}: {cert.param.condition} has no root")
     if param is None:
         return roots[0]
     if param not in roots:

@@ -16,6 +16,11 @@ prunes apply:
 The bound is tested on each child before the search enters it, so a child
 that fails is neither entered nor counted as a node.
 
+Every search prunes against a target t. A maximum is found by passes at
+t = U_3(s), U_3(s) - 1, ... (U_3 bounds both metrics): a pass that ends
+without a leaf reaching t refutes t, and the first pass that reaches t
+gives the maximum and its witnesses.
+
 With frame normalization the first four lines are pinned to x, y, z, x+y+z:
 any arrangement containing four lines in general position is projectively
 equivalent to one through that frame, and the only arrangements without such
@@ -44,6 +49,7 @@ from math import comb
 from operator import lshift, or_
 from typing import Optional
 
+from .bounds import schoenheim_u3
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
 from .projective import as_line, enumerate_lines, line_point_indices, triple_position
@@ -99,7 +105,7 @@ class SearchReport:
     witnesses: list
     nodes_visited: int
     exhaustive: bool
-    best_is_maximum: bool   # exhaustive and not pruned against a target
+    best_is_maximum: bool   # exhaustive, without cfg.target: every t > best refuted
     target_reached: bool
     notes: tuple
 
@@ -120,24 +126,14 @@ WITNESS_CAP = 10
 
 
 def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
-    """Best triple count over pencils and near-pencils of s lines, or None.
+    """Best triple count over pencils and near-pencils of s >= 5 lines, or None
+    if PG(2,q) has neither.
 
     These are exactly the arrangements containing no four lines in general
-    position (for s >= 5), hence the part of the space a frame-normalized
-    search does not visit.
+    position, hence the part of the space a frame-normalized search does not
+    visit. Their one point of multiplicity s or s-1 >= 4 counts for atleast3 only.
     """
-    options = []
-    if q + 1 >= s:          # full pencil
-        if metric == "exact3":
-            options.append(1 if s == 3 else 0)
-        else:
-            options.append(1 if s >= 3 else 0)
-    if s >= 2 and q + 1 >= s - 1:      # s-1 concurrent lines plus one more
-        if metric == "exact3":
-            options.append(1 if s == 4 else 0)
-        else:
-            options.append(1 if s >= 4 else 0)
-    return max(options) if options else None
+    return int(metric == "atleast3") if q + 1 >= s - 1 else None
 
 
 def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
@@ -223,11 +219,10 @@ class _Searcher:
         fixed = [triple_position(q, key) for key in FRAME_COORDS] if use_frame else []
         self.candidates = candidates = [i for i in range(len(plane.lines))
                                         if i not in fixed]
-        q1 = q + 1                             # points per line
         s = cfg.s
         cap_suffix = [0] * (s + 1)
         for k in range(s - 1, -1, -1):
-            cap_suffix[k] = cap_suffix[k + 1] + min(k // 2, q1)
+            cap_suffix[k] = cap_suffix[k + 1] + min(k // 2, q + 1)   # q+1 points per line
         # headroom[k][d]: the most triple points the lines still to come can
         # add to k chosen lines with d double points (d capped at the most
         # promotions the pair budget pays for)
@@ -236,7 +231,6 @@ class _Searcher:
             budget = comb(s, 2) - comb(k, 2)
             self.headroom.append([min(cap_suffix[k], promos + (budget - 2 * promos) // 3)
                                   for promos in range(budget // 2 + 1)])
-        self.target = cfg.target
         self.exact = cfg.metric == "exact3"
 
         self.masks = [sum(1 << p for p in plane.line_points[line_id])
@@ -258,36 +252,26 @@ class _Searcher:
         self.images = [tuple(bit_of[g[line_id]] for g in group[1:])
                        for line_id in candidates]
         self.root_images = (0,) * (len(group) - 1)
-        self.best = -1
-
-    def root_ok(self) -> bool:
-        """Whether the fixed lines pass the bound (see _children)."""
-        chosen, _, m2, m3, m4 = self.root
-        row = self.headroom[len(chosen)]
-        t3 = (m3 if self.exact else m3 | m4).bit_count()
-        return t3 + row[min(m2.bit_count(), len(row) - 1)] >= self.limit()
-
-    def limit(self) -> int:
-        # with a target, prune everything that provably stays below it;
-        # otherwise keep any branch that can still tie the incumbent
-        return self.best if self.target is None else self.target
 
     # -- main recursion --------------------------------------------------------
 
-    def branch(self, first: int, node_budget: int, best_floor: int) -> tuple:
-        """Explore the subtree whose first chosen candidate is candidates[first].
+    def branch(self, first: int, node_budget: int, target: int, quota: int) -> tuple:
+        """Explore the subtree whose first chosen candidate is candidates[first],
+        pruning every child that provably stays below target.
 
-        Returns (best, witnesses, nodes, budget_hit, stopped): best is at
-        least best_floor and the witnesses are visited leaves that reach it.
+        Returns (best, witnesses, nodes, budget_hit): the witnesses are the
+        first visited leaves that reach best. The branch stops once quota of
+        them reach target.
         """
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.best = best_floor
+        self.node_budget, self.target, self.quota = node_budget, target, quota
+        self.nodes, self.best, self.budget_hit, self.stop = 0, -1, False, False
         self.witnesses: list[tuple] = []       # (line ids, fixed lines first)
-        self.budget_hit = False
-        self.stop = False
-        self._children(self.root, 0, self.root_images, first, first + 1)
-        return self.best, self.witnesses, self.nodes, self.budget_hit, self.stop
+        chosen, _, m2, m3, m4 = self.root      # the fixed lines pass the bound too
+        row = self.headroom[len(chosen)]
+        t3 = (m3 if self.exact else m3 | m4).bit_count()
+        if t3 + row[min(m2.bit_count(), len(row) - 1)] >= target:
+            self._children(self.root, 0, self.root_images, first, first + 1)
+        return self.best, self.witnesses, self.nodes, self.budget_hit
 
     def _record(self, chosen: tuple, count: int) -> None:
         if count > self.best:
@@ -295,7 +279,7 @@ class _Searcher:
             self.witnesses = [chosen]
         elif count == self.best and len(self.witnesses) < 4 * WITNESS_CAP:
             self.witnesses.append(chosen)
-        if self.target is not None and count >= self.target:
+        if count >= self.target and len(self.witnesses) >= self.quota:
             self.stop = True
 
     def _children(self, state: tuple, x: int, images: tuple, start: int,
@@ -308,7 +292,7 @@ class _Searcher:
         """
         candidates, masks, bits, cand_images = (self.candidates, self.masks,
                                                 self.bit, self.images)
-        exact = self.exact
+        exact, target = self.exact, self.target
         chosen, m1, m2, m3, m4 = state
         covered = m1 | m2 | m3 | m4
         k = len(chosen) + 1                    # lines in each child
@@ -323,7 +307,7 @@ class _Searcher:
             t3 = (c3 if exact else c3 | c4).bit_count()
             if not leaf:
                 d2 = c2.bit_count()
-                if t3 + row[d2 if d2 < top else top] < self.limit():
+                if t3 + row[d2 if d2 < top else top] < target:
                     continue
                 child_x = x | 1 << bits[idx]
                 child_images = tuple(map(or_, images, map(lshift, repeat(1),
@@ -348,22 +332,26 @@ def _worker_searcher(cfg: SearchConfig, use_frame: bool) -> _Searcher:
     return _Searcher(cfg, Plane.of(cfg.field), use_frame)
 
 
-def _pool_branch(cfg: SearchConfig, use_frame: bool, first: int) -> tuple:
-    """Worker entry: one branch with no incumbent and the whole node budget.
-
-    A worker process builds its searcher (masks, group) once, for its first
-    branch, and reuses it for the branches of the same run that follow.
-    """
-    return _worker_searcher(cfg, use_frame).branch(first, cfg.max_nodes, -1)
+def _pool_branch(cfg: SearchConfig, use_frame: bool, first: int, target: int,
+                 quota: int) -> tuple:
+    """Worker entry: one branch of one pass, with the whole node budget. A
+    worker process builds its searcher (masks, group) once per run."""
+    return _worker_searcher(cfg, use_frame).branch(first, cfg.max_nodes, target, quota)
 
 
 def max_triple_search(cfg: SearchConfig) -> SearchReport:
     """Maximize the triple-point count over s-line subsets of PG(2,q).
 
+    Every pass is a target search. With cfg.target there is one pass, which
+    stops at the first leaf that reaches the target. Without one, passes run
+    at t = U_3(s), U_3(s) - 1, ...: a pass that ends without reaching t
+    refutes t, and the first pass that reaches t collects up to
+    4 * WITNESS_CAP raw witnesses and ends the run with best = t.
+
     The tree below the fixed lines has one branch per first chosen candidate.
-    Branches run here with the remaining budget and the incumbent, or on
-    worker processes; a worker result that overruns the remaining budget is
-    recomputed here. Results merge in branch order in both modes.
+    Branches run here with the remaining budget, or on worker processes; a
+    worker result that overruns the remaining budget is recomputed here.
+    Results merge in branch order in both modes, so both visit the same nodes.
     """
     plane = Plane.of(cfg.field)
     notes = []
@@ -380,6 +368,7 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
                      "(optimal arrangements may lack four general-position lines)")
 
     searcher = _Searcher(cfg, plane, use_frame)
+    alt = None          # best over the arrangements outside the frame-normalized space
     if use_frame:
         k = cfg.field.k
         notes.append("frame normalization on: search restricted to arrangements "
@@ -389,45 +378,54 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
                      f"{searcher.group_order} collineations fixing the frame (24 "
                      f"projectivities x {k} field automorphism{'s' if k > 1 else ''}) "
                      f"is searched")
-    best, witness_ids, nodes, target_stop = -1, [], 1, False
+        alt = _degenerate_family_best(cfg.field.order, cfg.s, cfg.metric)
+    # descending targets stop at alt (or 0, which the first leaf reaches)
+    targets = ((cfg.target,) if cfg.target is not None
+               else range(schoenheim_u3(cfg.s), (alt or 0) - 1, -1))
+    quota = 1 if cfg.target is not None else 4 * WITNESS_CAP
+    best, witness_ids, nodes, passes = -1, [], 1, []
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
     branches = len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1
-    if not budget_hit and searcher.root_ok() and branches > 0:
-        executor, futures = None, []
-        if cfg.threads > 1:
-            executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
-            futures = [executor.submit(_pool_branch, cfg, use_frame, first)
-                       for first in range(branches)]
-        try:
+    executor = (ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
+                if cfg.threads > 1 else None)
+    try:
+        for t in () if budget_hit else targets:
+            futures = [executor.submit(_pool_branch, cfg, use_frame, first, t, quota)
+                       for first in range(branches)] if executor else []
+            pass_best, pass_ids, pass_start = -1, [], nodes
             for first in range(branches):
                 remaining = cfg.max_nodes - nodes
                 result = futures[first].result() if futures else None
                 if result is None or result[2] > remaining:
-                    result = searcher.branch(first, remaining, best)
-                branch_best, branch_witnesses, branch_nodes, budget_hit, target_stop = result
-                if branch_best > best:
-                    best, witness_ids = branch_best, branch_witnesses
-                elif branch_best == best:
-                    witness_ids = (witness_ids + branch_witnesses)[:4 * WITNESS_CAP]
+                    result = searcher.branch(first, remaining, t, quota)
+                branch_best, branch_ids, branch_nodes, budget_hit = result
+                if branch_best > pass_best:
+                    pass_best, pass_ids = branch_best, branch_ids
+                elif branch_best == pass_best:
+                    pass_ids = (pass_ids + branch_ids)[:4 * WITNESS_CAP]
                 nodes += branch_nodes
-                if budget_hit or target_stop:
+                if budget_hit or (pass_best >= t and len(pass_ids) >= quota):
                     break
-        finally:
-            if executor is not None:
-                executor.shutdown(cancel_futures=True)
+            if pass_best >= best:
+                best, witness_ids = pass_best, pass_ids
+            outcome = "budget spent" if budget_hit else "reached" if pass_best >= t else "refuted"
+            passes.append(f"t={t} {outcome} in {nodes - pass_start} nodes")
+            if budget_hit or pass_best >= t:
+                break
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
+    target_stop = cfg.target is not None and best >= cfg.target
     best = max(best, 0)                    # -1: no leaf visited, witness_ids is empty
-
-    # arrangements outside the frame-normalized space
-    if use_frame:
-        alt = _degenerate_family_best(cfg.field.order, cfg.s, cfg.metric)
-        if alt is not None:
-            notes.append(f"pencil/near-pencil families (not containing four "
-                         f"general-position lines) reach at most {alt} "
-                         f"triple points; folded into the result")
-            if alt > best:
-                best = alt
-                witness_ids = []
+    if alt is not None:
+        notes.append(f"pencil/near-pencil families (not containing four "
+                     f"general-position lines) reach at most {alt} "
+                     f"triple points; folded into the result")
+        if alt > best:
+            best, witness_ids = alt, []
+    if cfg.target is None and passes:
+        notes.append("target passes from U_3(s) down: " + ", ".join(passes))
 
     # verify witnesses through the incidence module and deduplicate
     witnesses: list[Arrangement] = []

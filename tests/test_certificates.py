@@ -2,6 +2,7 @@
 
 import pytest
 
+from triplelines import certificates
 from triplelines.bounds import schoenheim_u3
 from triplelines.certificates import (
     CERTIFICATE_NAMES,
@@ -97,6 +98,24 @@ def test_ineligible_fields_rejected():
         instantiate("ELEVEN_16", make_field(2, 2))
     with pytest.raises(IneligibleField):
         instantiate("FANO", make_field(3))
+
+
+@pytest.mark.parametrize("name, F, poly", [
+    ("ELEVEN_16", make_field(11), (-1, 1, 1)),
+    ("TEN_E1", make_field(2, 2), (1, 1, 1)),
+])
+def test_parametric_certificate_scans_its_polynomial_once(monkeypatch, name, F, poly):
+    # the eligibility check reads the characteristic only; the parameter
+    # step both finds the root and rejects a field without one
+    calls = []
+
+    def recorder(coeffs, field):
+        calls.append(tuple(coeffs))
+        return roots_of(coeffs, field)
+
+    monkeypatch.setattr(certificates, "roots_of", recorder)
+    assert verify(name, F).ok
+    assert calls == [poly]
 
 
 def test_param_choices_gf11():

@@ -196,11 +196,11 @@ def test_config_rejects_meaningless_settings(gf5):
 
 
 @pytest.mark.parametrize("p, kwargs, expected", [
-    (5, dict(s=10), (13, 3934, True)),
-    (5, dict(s=10, threads=2), (13, 5402, True)),
-    (5, dict(s=8), (7, 852, True)),
-    (5, dict(s=8, metric="atleast3"), (7, 864, True)),
-    (3, dict(s=7, normalize_frame=False), (6, 2677, True)),
+    (5, dict(s=10), (13, 1812, True)),
+    (5, dict(s=10, threads=2), (13, 1812, True)),
+    (5, dict(s=8), (7, 408, True)),
+    (5, dict(s=8, metric="atleast3"), (7, 424, True)),
+    (3, dict(s=7, normalize_frame=False), (6, 1199, True)),
 ])
 def test_node_counts_are_pinned(p, kwargs, expected):
     # exact node counts: a change here changes what the search visits
@@ -215,9 +215,10 @@ def _run_both(F, **kwargs):
 def test_threads_match_sequential(gf3, gf5):
     # GF(5), s=8, atleast3 ties on more raw witnesses than the search keeps
     for F, kwargs in ((gf3, dict(s=7, normalize_frame=False)),
-                      (gf5, dict(s=8, metric="atleast3"))):
+                      (gf5, dict(s=8, metric="atleast3")),
+                      (gf5, dict(s=10))):
         seq, par = _run_both(F, **kwargs)
-        assert seq.best == par.best
+        assert (seq.best, seq.nodes_visited) == (par.best, par.nodes_visited)
         assert seq.exhaustive and par.exhaustive
         assert ([arrangement_to_json(w) for w in seq.witnesses]
                 == [arrangement_to_json(w) for w in par.witnesses])
@@ -235,6 +236,45 @@ def test_threads_agree_with_target(gf5, s, target, max_nodes):
         assert rep.nodes_visited <= max_nodes + 1
     assert ((seq.best, seq.nodes_visited, seq.exhaustive, seq.target_reached)
             == (par.best, par.nodes_visited, par.exhaustive, par.target_reached))
+
+
+# GF(5), s=8 without a target: the pass at t = U_3(8) = 8 is refuted in 220
+# nodes, then the pass at t = 7 reaches it and collects witnesses in 187
+@pytest.mark.parametrize("max_nodes", [
+    100,            # spent inside the refutation pass
+    220,            # spent on the last node of the refutation pass
+    221,            # the refutation pass ends with no node to spare
+    300,            # spent inside the witness pass
+    407,            # spent on the last node of the witness pass
+    408,            # exhaustive with no node to spare
+])
+def test_threads_agree_on_budget_across_passes(gf5, max_nodes):
+    seq, par = _run_both(gf5, s=8, max_nodes=max_nodes)
+    for rep in (seq, par):
+        assert rep.nodes_visited <= max_nodes + 1
+        assert rep.best_is_maximum == rep.exhaustive == (max_nodes >= 408)
+    assert ((seq.best, seq.nodes_visited, seq.exhaustive)
+            == (par.best, par.nodes_visited, par.exhaustive))
+
+
+def test_pass_notes_of_a_maximum(gf5):
+    rep = max_triple_search(SearchConfig(field=gf5, s=8))
+    assert ("target passes from U_3(s) down: t=8 refuted in 220 nodes, "
+            "t=7 reached in 187 nodes") in rep.notes
+
+
+def test_maxima_are_target_boundaries(gf2, gf3, gf4, gf5):
+    # a maximum is reached by a search for it and refuted by one for one more
+    for F in (gf2, gf3, gf4, gf5):
+        for s in range(5, min(9, len(Plane.of(F).lines)) + 1):
+            for metric in ("exact3", "atleast3"):
+                rep = max_triple_search(SearchConfig(field=F, s=s, metric=metric))
+                assert rep.best_is_maximum, (F, s, metric)
+                hit, miss = (max_triple_search(SearchConfig(field=F, s=s, metric=metric,
+                                                            target=rep.best + d))
+                             for d in (0, 1))
+                assert hit.target_reached and hit.best == rep.best, (F, s, metric)
+                assert not miss.target_reached and miss.exhaustive, (F, s, metric)
 
 
 def test_pool_respects_node_budget(gf5):
