@@ -20,7 +20,6 @@ from .constraints import (
     build_system,
     consequence_check,
     default_battery,
-    derived_equations,
     realize,
     solve_over,
 )

@@ -64,8 +64,11 @@ def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
 
 
 def _parse_element(F: FieldSpec, text: str) -> FieldElement:
-    parts = text.replace("[", "").replace("]", "").split(",")
-    return F.element([int(c) for c in parts])
+    coeffs = [int(c) for c in text.replace("[", "").replace("]", "").split(",")]
+    for c in coeffs:
+        if not 0 <= c < F.p:
+            raise ValueError(f"--param coefficient {c} is outside 0..{F.p - 1} for {F!r}")
+    return F.element(coeffs)
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
@@ -266,10 +269,7 @@ def _cmd_constraints(args) -> CommandResult:
     code = 0
     if args.consequences and args.scenario in CONSEQUENCES:
         mode, polys = CONSEQUENCES[args.scenario]
-        bat = battery
-        if args.scenario == "TEN_E1":
-            bat = [F for F in battery if F.p == 2]
-        crep = consequence_check(system, polys, bat, mode=mode)
+        crep = consequence_check(system, polys, battery, mode=mode)
         lines.append(f"consequences ({mode} mode): checked {crep.checked} "
                      f"solution(s), {'all vanish' if crep.ok else 'VIOLATIONS'}")
         report["consequences"] = {

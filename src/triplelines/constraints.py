@@ -1,14 +1,18 @@
 """Incidence scenarios as polynomial systems over finite fields.
 
-Each scenario fixes a coordinate frame for some of the lines, turns the
-prescribed collinearities/concurrencies into integer-coefficient equations,
-adds non-degeneracy inequations, and is solved over any finite field by
-enumerating the variables the equations do not give outright. Geometric
-side conditions that are awkward as polynomials (membership of a pencil, a
-forbidden extra incidence) are post-checks on candidate solutions. Each
-scenario's construction (frame lines, joins and meets, incidence conditions)
-is written once over any commutative ring: over integer polynomials it derives
-the equations, over a finite field it drives the post-checks and realize().
+Each scenario fixes a coordinate frame for some of the lines, and its
+construction (frame lines, joins and meets, incidence conditions and
+non-degeneracy pairs) is written once, as a recipe, over any commutative ring.
+Over integer polynomials the recipe gives the scenario's system: each
+prescribed collinearity/concurrency "X on Y" becomes the equation <X, Y> = 0
+and each non-degeneracy group "X off Y, or ..." an inequation group. The
+system is solved over any finite field by enumerating the variables the
+equations do not give outright. Geometric side conditions that are awkward
+as polynomials (membership of a pencil, a forbidden extra incidence) are
+post-checks on candidate solutions; over a finite field the same recipe
+drives them and realize(). The systems printed in the source paper are kept
+verbatim as test fixtures, which check that the derived systems agree with
+them.
 
 Five scenarios are built in:
 
@@ -114,6 +118,11 @@ _FRAME_ABCD = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1", "c d 1")
 _FRAME_CASE_B = ("1 0 0", "0 1 0", "0 0 1", "a -a-1 1", "b -b-1 1", "c -c-1 1")
 _FRAME_CASE_II = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1")
 
+#: L_5 and L_6 avoid the vertices P_23 and P_13 of the triangle x, y, z
+#: (a, b, c, d nonzero), and L_4, L_5, L_6 are not concurrent
+_NONDEGENERATE_ABCD = ((("P_23", "L_5"),), (("P_13", "L_5"),), (("P_23", "L_6"),),
+                       (("P_13", "L_6"),), (("P_45", "L_6"),))
+
 
 def _coefficient(template: str, values: dict, one):
     """A template such as '0', 'a' or '-a-1' evaluated in the ring of `one`."""
@@ -131,14 +140,17 @@ class _Recipe:
     P_ij names the meet of frame lines L_i and L_j. A step (X, U, V) makes X
     the cross product of U and V: the join of two points or the meet of two
     lines. A condition (X, Y) says that point X lies on line Y; in order, the
-    conditions are the scenario's equations. Identities are incidences that
-    hold in the frame for every value of the variables. `lines` are the
-    constructed lines that complete the arrangement.
+    conditions are the scenario's equations. Each non-degeneracy group lists
+    pairs (X, Y) of which at least one must have X off Y; in order, the groups
+    are the scenario's inequations. Identities are incidences that hold in the
+    frame for every value of the variables. `lines` are the constructed lines
+    that complete the arrangement.
     """
 
     frame: tuple
     steps: tuple
     conditions: tuple
+    nondegenerate: tuple
     lines: tuple
     identities: tuple = ()
 
@@ -169,6 +181,7 @@ _TEN_E1_RECIPE = _Recipe(
            ("M_3", "P_14", "P_26"), ("M_4", "P_15", "P_24"), ("W", "M_2", "M_3")),
     conditions=(("P_56", "M_1"), ("P_46", "M_2"), ("P_35", "M_3"),
                 ("P_36", "M_4"), ("W", "M_4")),
+    nondegenerate=_NONDEGENERATE_ABCD,
     lines=("M_1", "M_2", "M_3", "M_4"))
 
 _RECIPES = {
@@ -181,6 +194,7 @@ _RECIPES = {
                ("T_4", "P_15", "P_24"), ("T_5", "P_16", "P_23")),
         conditions=(("P_56", "T_1"), ("P_46", "T_2"), ("P_35", "T_3"),
                     ("P_36", "T_4"), ("P_45", "T_5")),
+        nondegenerate=_NONDEGENERATE_ABCD,
         lines=("T_1", "T_2", "T_3", "T_4", "T_5")),
     TEN_CASE_B: _Recipe(
         _FRAME_CASE_B,
@@ -188,6 +202,10 @@ _RECIPES = {
                ("M_4", "P_13", "P_26"), ("Z_1", "M_3", "M_4"), ("Z_2", "M_2", "M_4"),
                ("Z_3", "M_2", "M_3")),
         conditions=(("Z_1", "L_4"), ("Z_2", "L_5"), ("Z_3", "L_6"), ("P_36", "M_1")),
+        # a, b, c nonzero and pairwise distinct: L_4, L_5, L_6 avoid the
+        # vertex P_23 and meet L_1 in three distinct points
+        nondegenerate=((("P_23", "L_4"),), (("P_23", "L_5"),), (("P_23", "L_6"),),
+                       (("P_45", "L_1"),), (("P_46", "L_1"),), (("P_56", "L_1"),)),
         lines=("M_1", "M_2", "M_3", "M_4")),
     ELEVEN_CASE_II: _Recipe(
         _FRAME_CASE_II,
@@ -198,80 +216,12 @@ _RECIPES = {
                ("Z_1", "M_3", "N_2"), ("Z_2", "M_3", "N_3"), ("Z_3", "M_3", "N_1"),
                ("Z_4", "M_2", "N_3"), ("Z_5", "M_1", "N_3")),
         conditions=(("Z_1", "L_1"), ("Z_3", "L_3"), ("Z_4", "L_4"), ("Z_5", "L_5")),
+        # a, b nonzero, and L_5 != L_4: L_5 misses P_24 or P_14, i.e. (a, b) != (1, 1)
+        nondegenerate=((("P_23", "L_5"),), (("P_13", "L_5"),),
+                       (("P_24", "L_5"), ("P_14", "L_5"))),
         lines=("M_1", "M_2", "N_1", "N_2", "M_3", "N_3"),
         identities=(("Z_2", "L_2"),)),
 }
-
-
-def derived_equations(name: str) -> list[IntPolynomial]:
-    """Equation systems expanded directly from the scenario geometry.
-
-    Independent route used to validate the hard-coded systems below: for
-    every scenario except the last TEN_CASE_B condition these agree with the
-    stored equations up to sign.
-    """
-    if name not in _RECIPES:
-        raise ValueError(f"unknown scenario {name!r}")
-    recipe = _RECIPES[name]
-    variables = sorted({ch for row in recipe.frame for ch in row if ch.isalpha()})
-    gens, const = poly_ring(variables)
-    g = recipe.construct(dict(zip(variables, gens)), const(1))
-    for x, y in recipe.identities:
-        if not inner(g[x], g[y]).is_zero():
-            raise RuntimeError(f"{name}: {x} on {y} does not hold identically")
-    return [inner(g[x], g[y]).content_normalized() for x, y in recipe.conditions]
-
-
-# ---------------------------------------------------------------------------
-# the published systems, stored verbatim (variables in alphabetical order)
-# ---------------------------------------------------------------------------
-
-def _poly(variables: Sequence[str], terms: dict) -> IntPolynomial:
-    return IntPolynomial(variables, terms)
-
-
-def _abcd_system() -> tuple:
-    V = ("a", "b", "c", "d")
-    A, B, C, D = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-    O = (0, 0, 0, 0)
-    e1 = _poly(V, {A: 1, B: -1, C: -1, D: 1})                      # a-b-c+d
-    e2 = _poly(V, {(1, 0, 0, 1): -1, A: 1, C: -1, D: 1})           # -ad+a-c+d
-    e3 = _poly(V, {A: 1, (0, 1, 1, 0): -1})                        # a-bc
-    e4 = _poly(V, {(0, 1, 1, 0): 1, D: -1})                        # bc-d
-    pencil = _poly(V, {(1, 1, 0, 0): -1, A: 1, (0, 1, 1, 0): 1, O: -1})  # -ab+a+bc-1
-    extra = _poly(V, {(1, 0, 0, 1): 1, A: -1, B: 1, D: -1})        # ad-a+b-d
-    det = _poly(V, {B: 1, D: -1, A: -1, C: 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
-    a = _poly(V, {A: 1})
-    b = _poly(V, {B: 1})
-    c = _poly(V, {C: 1})
-    d = _poly(V, {D: 1})
-    nondeg = ((a,), (b,), (c,), (d,), (det,))
-    return (e1, e2, e3, e4), pencil, extra, nondeg
-
-
-def _case_b_system() -> tuple:
-    V = ("a", "b", "c")
-    A, B, C, O = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
-    f1 = _poly(V, {(1, 1, 0): 1, (1, 0, 1): 1, A: 1, (0, 1, 1): -1})  # ab+ac+a-bc
-    f2 = _poly(V, {(1, 0, 1): 1, A: 1, B: -1, C: 1})                  # ac+a-b+c
-    f3 = _poly(V, {(1, 1, 0): 1, C: 1})                               # ab+c
-    f4 = _poly(V, {A: 1, (0, 1, 1): 1})                               # a+bc
-    a, b, c = (_poly(V, {e: 1}) for e in (A, B, C))
-    nondeg = ((a,), (b,), (c,), (a - b,), (a - c,), (b - c,))
-    return (f1, f2, f3, f4), nondeg
-
-
-def _case_ii_system() -> tuple:
-    V = ("a", "b")
-    g1 = _poly(V, {(2, 0): -1, (1, 2): 1, (1, 1): 1, (0, 2): -1})  # -a^2+ab^2+ab-b^2
-    g2 = _poly(V, {(2, 0): 1, (1, 2): -1, (1, 1): 1, (1, 0): -1})  # a^2-ab^2+ab-a
-    g3 = _poly(V, {(1, 2): -1, (1, 1): 1, (1, 0): -1, (0, 2): 1})  # -ab^2+ab-a+b^2
-    g4 = _poly(V, {(2, 0): 1, (1, 1): -1, (1, 0): -1, (0, 2): 1})  # a^2-ab-a+b^2
-    a = _poly(V, {(1, 0): 1})
-    b = _poly(V, {(0, 1): 1})
-    one = IntPolynomial.constant(1, V)
-    nondeg = ((a,), (b,), (a - one, b - one))  # L_4 != L_5, i.e. (a,b) != (1,1)
-    return (g1, g2, g3, g4), nondeg
 
 
 #: consequence polynomials published for the scenarios, with the solution
@@ -279,16 +229,17 @@ def _case_ii_system() -> tuple:
 #: post-checks, "equations" = the bare equation variety)
 CONSEQUENCES = {
     ELEVEN_CASE_II: ("equations", (
-        _poly(("a", "b"), {(1, 0): 3, (0, 2): -3}),                       # 3(a-b^2)
-        _poly(("a", "b"), {(1, 1): 1, (0, 2): -2, (1, 0): 1}),            # ab-2b^2+a
-        _poly(("a", "b"), {(2, 0): 1, (1, 1): -1, (0, 2): 1, (1, 0): -1}),  # a^2-ab+b^2-a
+        IntPolynomial(("a", "b"), {(1, 0): 3, (0, 2): -3}),                  # 3(a-b^2)
+        IntPolynomial(("a", "b"), {(1, 1): 1, (0, 2): -2, (1, 0): 1}),       # ab-2b^2+a
+        IntPolynomial(("a", "b"), {(2, 0): 1, (1, 1): -1, (0, 2): 1,
+                                   (1, 0): -1}),                             # a^2-ab+b^2-a
     )),
     TEN_CASE_B: ("raw", (
-        _poly(("a", "b", "c"), {(0, 2, 0): 1, (0, 0, 0): -1}),            # b^2-1
+        IntPolynomial(("a", "b", "c"), {(0, 2, 0): 1, (0, 0, 0): -1}),       # b^2-1
     )),
     TEN_E1: ("raw", (
-        _poly(("a", "b", "c", "d"), {(2, 0, 0, 0): 1, (1, 0, 0, 0): 1,
-                                     (0, 0, 0, 0): 1}),                   # a^2+a+1
+        IntPolynomial(("a", "b", "c", "d"), {(2, 0, 0, 0): 1, (1, 0, 0, 0): 1,
+                                             (0, 0, 0, 0): 1}),              # a^2+a+1
     )),
 }
 
@@ -320,26 +271,37 @@ def _case_i_keep(asg: dict, F: FieldSpec) -> bool:
     return not all(incident(hub, t) for t in lines[2:])
 
 
+_POST_CHECKS = {
+    TEN_CASE_A: (("m1_avoids_w", _case_a_keep),),
+    ELEVEN_CASE_I: (("not_a_pencil", _case_i_keep),),
+}
+
+
 def build_system(name: str) -> ConstraintSystem:
-    """The published equation system plus non-degeneracy for a scenario."""
-    if name == TEN_E1:
-        eqs, pencil, _, nondeg = _abcd_system()
-        return ConstraintSystem(name, ("a", "b", "c", "d"), eqs + (pencil,), nondeg)
-    if name == TEN_CASE_A:
-        eqs, pencil, _, nondeg = _abcd_system()
-        return ConstraintSystem(name, ("a", "b", "c", "d"), eqs + (pencil,), nondeg,
-                                post_checks=(("m1_avoids_w", _case_a_keep),))
-    if name == ELEVEN_CASE_I:
-        eqs, _, extra, nondeg = _abcd_system()
-        return ConstraintSystem(name, ("a", "b", "c", "d"), eqs + (extra,), nondeg,
-                                post_checks=(("not_a_pencil", _case_i_keep),))
-    if name == TEN_CASE_B:
-        eqs, nondeg = _case_b_system()
-        return ConstraintSystem(name, ("a", "b", "c"), eqs, nondeg)
-    if name == ELEVEN_CASE_II:
-        eqs, nondeg = _case_ii_system()
-        return ConstraintSystem(name, ("a", "b"), eqs, nondeg)
-    raise ValueError(f"unknown scenario {name!r}")
+    """A scenario's system, expanded from its recipe over integer polynomials.
+
+    Each condition "X on Y" gives the equation <X, Y> = 0 and each pair
+    "X off Y" of a non-degeneracy group one member <X, Y>, with integer
+    content 1 and a positive leading term.
+    """
+    if name not in _RECIPES:
+        raise ValueError(f"unknown scenario {name!r}")
+    recipe = _RECIPES[name]
+    variables = tuple(sorted({ch for row in recipe.frame for ch in row if ch.isalpha()}))
+    gens, const = poly_ring(variables)
+    g = recipe.construct(dict(zip(variables, gens)), const(1))
+    for x, y in recipe.identities:
+        if not inner(g[x], g[y]).is_zero():
+            raise RuntimeError(f"{name}: {x} on {y} does not hold identically")
+
+    def pairing(x: str, y: str) -> IntPolynomial:
+        return inner(g[x], g[y]).content_normalized()
+
+    return ConstraintSystem(
+        name, variables,
+        tuple(pairing(x, y) for x, y in recipe.conditions),
+        tuple(tuple(pairing(x, y) for x, y in group) for group in recipe.nondegenerate),
+        _POST_CHECKS.get(name, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +439,13 @@ def dict_repr(asg: dict) -> str:
 def realize(name: str, asg: dict, F: FieldSpec) -> Arrangement:
     """The full 10- or 11-line arrangement a scenario solution describes.
 
-    Accepts any raw solution (equations and inequations) at which the
-    scenario's incidence conditions hold; the geometric contradiction of a
-    rejected scenario can then be inspected on the resulting arrangement's
-    profile.
+    Accepts any raw solution (equations and inequations); the equations are
+    the scenario's incidence conditions, so they hold in the arrangement. The
+    geometric contradiction of a rejected scenario can then be inspected on
+    the resulting arrangement's profile.
     """
-    system = build_system(name)
-    _require_raw_solution(system, asg, F)
+    _require_raw_solution(build_system(name), asg, F)
     recipe = _RECIPES[name]
     g = recipe.construct(asg, F.one)
-    for x, y in recipe.conditions:
-        if not inner(g[x], g[y]).is_zero():
-            raise UnsolvedAssignment(f"{dict_repr(asg)}: {x} is not on {y} over {F!r}")
     labels = [f"L_{i}" for i in range(1, len(recipe.frame) + 1)] + list(recipe.lines)
     return Arrangement(F, [ProjLine(F, g[label]) for label in labels], labels)

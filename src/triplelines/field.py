@@ -354,7 +354,11 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     if modulus is None:
         mod = default_modulus(p, k)
     else:
-        mod = tuple(c % p for c in modulus)
+        mod = tuple(modulus)
+        for c in mod:
+            if not 0 <= c < p:
+                raise ReducibleModulus(
+                    f"modulus coefficient {c} is outside 0..{p - 1} for GF({p})")
         if len(mod) != k + 1:
             raise DegreeMismatch(
                 f"modulus has {len(mod) - 1 if mod else 0} degree slots, expected degree {k}")

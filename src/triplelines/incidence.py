@@ -124,11 +124,6 @@ class ParityReport:
     all_pass: bool
     lines_with_only_triples: tuple
 
-    @property
-    def forces_odd_s(self) -> bool:
-        # a line carrying only triple points forces s - 1 to be even
-        return bool(self.lines_with_only_triples)
-
 
 def parity_check(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> ParityReport:
     """Per-line identity s-1 = sum over its profile points of (m_i - 1)."""
@@ -163,10 +158,6 @@ class IncidenceTable:
         except ValueError as exc:
             raise UnknownLabel(str(exc)) from exc
         return self.cells[i][j]
-
-    def column_sums(self) -> tuple:
-        return tuple(sum(1 for row in self.cells if row[j])
-                     for j in range(len(self.col_labels)))
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(self.col_labels)]

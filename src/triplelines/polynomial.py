@@ -127,10 +127,6 @@ class IntPolynomial:
         g *= sign
         return IntPolynomial(self.variables, {e: c // g for e, c in self.terms.items()})
 
-    def proportional_to(self, other: "IntPolynomial") -> bool:
-        """True when the two polynomials agree up to a nonzero rational factor."""
-        return self.content_normalized() == other.content_normalized()
-
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, FieldElement], F: FieldSpec) -> FieldElement:

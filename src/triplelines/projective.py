@@ -173,10 +173,6 @@ def as_line(P: ProjPoint) -> ProjLine:
     return ProjLine(P.field, P.coords)
 
 
-def as_point(L: ProjLine) -> ProjPoint:
-    return ProjPoint(L.field, L.coords)
-
-
 def _enumerate_triples(F: FieldSpec):
     one = F.one
     elems = F.elements()

@@ -93,6 +93,8 @@ class SearchConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.s < 1:
             raise ValueError("s must be positive")
+        if self.target is not None and self.target < 0:
+            raise ValueError("target must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.max_nodes < 0:
@@ -460,6 +462,8 @@ def dual_search_seed(A: Arrangement, min_multiplicity: int = 2) -> Arrangement:
     Accidental concurrences of the dual lines may add further structure, so
     the construction is a seed, not an exact involution.
     """
+    if min_multiplicity < 2:
+        raise ValueError(f"min_multiplicity must be at least 2, got {min_multiplicity}")
     prof = profile(A)
     chosen = [P for P, m in prof.points.items() if m >= min_multiplicity]
     if not chosen:

@@ -39,8 +39,8 @@ from triplelines.incidence import (
     remove_line,
 )
 from triplelines.projective import (
+    ProjPoint,
     as_line,
-    as_point,
     enumerate_lines,
     enumerate_points,
     incident,
@@ -260,7 +260,7 @@ def test_criterion_8_property_suites():
             ok = ok and incident(P, L1) and incident(P, L2)
         for P in points:
             for L in lines:
-                ok = ok and incident(P, L) == incident(as_point(L), as_line(P))
+                ok = ok and incident(P, L) == incident(ProjPoint(F, L.coords), as_line(P))
         if not ok:
             break
 

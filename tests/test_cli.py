@@ -78,6 +78,28 @@ def test_verify_rejects_param_of_parameterless_certificate():
     assert "takes no parameter" in res.text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "ELEVEN_16", "--field", "11", "--param", "18"], "18 is outside 0..10"),
+    (["verify", "TEN_E1", "--field", "2^2", "--param", "5"], "5 is outside 0..1"),
+    (["verify", "TEN_E1", "--field", "2^2", "--param", "0,2"], "2 is outside 0..1"),
+    (["verify", "TEN_E2", "--field", "5", "--modulus", "5,1"], "5 is outside 0..4"),
+    (["search", "--field", "2^2", "--modulus", "1,1,3", "--lines", "5"],
+     "3 is outside 0..1"),
+])
+def test_coefficients_outside_residues_exit_two(argv, message):
+    res = run(argv)
+    assert res.exit_code == 2 and message in res.text
+
+
+def test_dualize_cli_rejects_multiplicity_below_two(tmp_path):
+    a = tmp_path / "e2.json"
+    run(["export", "TEN_E2", "--field", "5", "--out", str(a)])
+    out = tmp_path / "dual.json"
+    res = run(["dualize", str(a), "--out", str(out), "--min-mult", "0"])
+    assert res.exit_code == 2 and "min_multiplicity" in res.text
+    assert not out.exists()
+
+
 def test_verify_report_schema(tmp_path):
     out = tmp_path / "verify.json"
     res = run(["verify", "ELEVEN_16", "--field", "11", "--param", "7",
@@ -111,6 +133,8 @@ def test_search_cli_rejects_bad_field():
     base = ["search", "--field", "5", "--lines", "8"]
     assert run(base + ["--threads", "0"]).exit_code == 2
     assert run(base + ["--max-nodes", "-1"]).exit_code == 2
+    res = run(base + ["--target", "-3"])
+    assert res.exit_code == 2 and "target must be non-negative" in res.text
 
 
 def test_field_above_table_limit_exits_two():

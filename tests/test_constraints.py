@@ -18,7 +18,6 @@ from triplelines.constraints import (
     build_system,
     consequence_check,
     default_battery,
-    derived_equations,
     realize,
     solve_over,
 )
@@ -53,51 +52,100 @@ def test_collinearity_poly_identity_rows():
 
 def test_collinearity_poly_reproduces_a_minus_bc():
     # third forced triple of the TEN_E1 frame expands to a - bc
-    eqs = derived_equations(TEN_E1)
+    eqs = build_system(TEN_E1).equations
     (a, b, c, d), const = poly_ring(("a", "b", "c", "d"))
-    assert eqs[2].proportional_to(a - b * c)
+    assert eqs[2] == (a - b * c).content_normalized()
 
 
 # ---------------------------------------------------------------------------
-# stored systems versus the geometric derivation
+# the published systems versus the systems derived from each construction
 # ---------------------------------------------------------------------------
+
+def _published_systems():
+    """The systems as printed in the source paper: name -> (equations, groups)."""
+    (a, b, c, d), one = poly_ring(("a", "b", "c", "d"))
+    abcd = (a - b - c + d, -a * d + a - c + d, a - b * c, b * c - d)
+    abcd_groups = ((a,), (b,), (c,), (d,), (b - d - a + c + a * d - b * c,))
+    pencil = -a * b + a + b * c - one(1)
+    extra = a * d - a + b - d
+    (a, b, c), one = poly_ring(("a", "b", "c"))
+    case_b = ((a * b + a * c + a - b * c, a * c + a - b + c, a * b + c, a + b * c),
+              ((a,), (b,), (c,), (a - b,), (a - c,), (b - c,)))
+    (a, b), one = poly_ring(("a", "b"))
+    case_ii = ((-a * a + a * b * b + a * b - b * b, a * a - a * b * b + a * b - a,
+                -a * b * b + a * b - a + b * b, a * a - a * b - a + b * b),
+               # L_4 != L_5, i.e. (a, b) != (1, 1)
+               ((a,), (b,), (a - one(1), b - one(1))))
+    return {
+        TEN_E1: (abcd + (pencil,), abcd_groups),
+        TEN_CASE_A: (abcd + (pencil,), abcd_groups),
+        ELEVEN_CASE_I: (abcd + (extra,), abcd_groups),
+        TEN_CASE_B: case_b,
+        ELEVEN_CASE_II: case_ii,
+    }
+
+
+@pytest.fixture(scope="module")
+def published():
+    return _published_systems()
+
+
+def _published_variant(name, published):
+    """build_system(name) with the published equations and inequations."""
+    system = build_system(name)
+    equations, groups = published[name]
+    return ConstraintSystem(name, system.variables, equations, groups,
+                            system.post_checks)
+
+
+def _reduced(name, i):
+    # the published fourth TEN_CASE_B condition, a+bc, is the collinearity
+    # determinant reduced by the other equations
+    return name == TEN_CASE_B and i == 3
+
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_derived_and_stored_zero_sets_agree_on_random_points(name):
+def test_derived_and_stored_zero_sets_agree_on_random_points(name, published):
     """Zero-set agreement on 200 random GF(101) points, equation by equation.
 
     All equations except the reduced fourth TEN_CASE_B condition also agree
     as polynomials up to sign, which is asserted exactly.
     """
     system = build_system(name)
-    derived = derived_equations(name)
-    assert len(derived) == len(system.equations)
+    stored, _ = published[name]
+    assert len(stored) == len(system.equations)
     F101 = make_field(101)
     rng = random.Random(101)
-    n = len(system.variables)
-    for i, (dpoly, spoly) in enumerate(zip(derived, system.equations)):
-        if not (name == TEN_CASE_B and i == 3):
-            assert dpoly.proportional_to(spoly), f"equation {i}"
+    for i, (dpoly, spoly) in enumerate(zip(system.equations, stored)):
+        if _reduced(name, i):
+            continue
+        assert dpoly == spoly.content_normalized(), f"equation {i}"
         for _ in range(200):
             point = {v: F101(rng.randrange(101)) for v in system.variables}
-            dz = dpoly.evaluate(point, F101).is_zero()
-            sz = spoly.evaluate(point, F101).is_zero()
-            if not (name == TEN_CASE_B and i == 3):
-                assert dz == sz
+            assert (dpoly.evaluate(point, F101).is_zero()
+                    == spoly.evaluate(point, F101).is_zero())
 
 
-def test_case_b_reduced_equation_same_solution_set():
-    """The stored a+bc and the raw collinearity determinant cut the same
-    solutions out of the rest of the system, over every battery field."""
-    stored = build_system(TEN_CASE_B)
-    derived = derived_equations(TEN_CASE_B)
-    swapped = ConstraintSystem(stored.name, stored.variables,
-                               tuple(derived), stored.inequations)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_derived_inequation_groups_match_the_published_ones(name, published):
+    # same groups, same members in the same order, each up to sign
+    _, stored = published[name]
+    derived = build_system(name).inequations
+    assert [[p.content_normalized() for p in group] for group in stored] == \
+        [list(group) for group in derived]
+
+
+def test_case_b_reduced_equation_same_solution_set(published):
+    """The published a+bc and the derived collinearity determinant cut the
+    same solutions out of the rest of the system, over every battery field."""
+    derived = build_system(TEN_CASE_B)
+    stored = _published_variant(TEN_CASE_B, published)
+    assert derived.equations[3] != stored.equations[3].content_normalized()
     for F in default_battery():
         want = [tuple(asg[v].index for v in stored.variables)
                 for asg in solve_over(stored, F)]
         got = [tuple(asg[v].index for v in stored.variables)
-               for asg in solve_over(swapped, F)]
+               for asg in solve_over(derived, F)]
         assert want == got
 
 
@@ -196,16 +244,13 @@ def test_solution_order_deterministic_and_equation_order_free(gf4):
 
 
 def _oracle_systems():
-    """Every scenario, its equation-only variant and the derived TEN_CASE_B."""
+    """Every scenario, its equation-only variant and the published TEN_CASE_B."""
     for name in SCENARIO_NAMES:
         system = build_system(name)
         yield name, system
         yield f"{name}/equations", ConstraintSystem(name, system.variables,
                                                     system.equations, ())
-    case_b = build_system(TEN_CASE_B)
-    yield "TEN_CASE_B/derived", ConstraintSystem(
-        TEN_CASE_B, case_b.variables, tuple(derived_equations(TEN_CASE_B)),
-        case_b.inequations)
+    yield "TEN_CASE_B/published", _published_variant(TEN_CASE_B, _published_systems())
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1)])

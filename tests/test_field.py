@@ -60,6 +60,17 @@ def test_reducible_modulus_rejected():
         make_field(2, 2, [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
 
 
+@pytest.mark.parametrize("p, k, modulus", [
+    (5, 1, [5, 1]),          # 5 = 0 mod 5: the fixed prime-field modulus x
+    (2, 2, [1, 1, 3]),       # 3 = 1 mod 2: x^2+x+1
+    (3, 2, [-1, 0, 1]),      # -1 = 2 mod 3: x^2+2
+])
+def test_modulus_coefficient_outside_residues_rejected(p, k, modulus):
+    # a coefficient that only reduces to a valid modulus is ambiguous input
+    with pytest.raises(ReducibleModulus, match="outside"):
+        make_field(p, k, modulus)
+
+
 def test_modulus_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         make_field(2, 2, [1, 1, 1, 1])

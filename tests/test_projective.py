@@ -10,7 +10,6 @@ from triplelines.projective import (
     ProjLine,
     ProjPoint,
     as_line,
-    as_point,
     collinear,
     concurrent,
     dot,
@@ -95,7 +94,7 @@ def test_duality_swap(F):
     points = enumerate_points(F)
     for P in points:
         for L in lines:
-            assert incident(P, L) == incident(as_point(L), as_line(P))
+            assert incident(P, L) == incident(ProjPoint(F, L.coords), as_line(P))
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
@@ -145,4 +144,4 @@ def test_dot_is_symmetric_in_structure():
     F = make_field(3)
     P = ProjPoint(F, (1, 2, 1))
     L = ProjLine(F, (1, 1, 0))
-    assert dot(P, L) == dot(as_point(L), as_line(P))
+    assert dot(P, L) == dot(ProjPoint(F, L.coords), as_line(P))

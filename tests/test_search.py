@@ -193,6 +193,8 @@ def test_config_rejects_meaningless_settings(gf5):
         SearchConfig(field=gf5, s=8, threads=0)
     with pytest.raises(ValueError, match="max_nodes"):
         SearchConfig(field=gf5, s=8, max_nodes=-1)
+    with pytest.raises(ValueError, match="target"):
+        SearchConfig(field=gf5, s=8, target=-3)
 
 
 @pytest.mark.parametrize("p, kwargs, expected", [
@@ -420,3 +422,11 @@ def test_dual_requires_intersections(gf5):
     single = Arrangement(gf5, enumerate_lines(gf5)[:1])
     with pytest.raises(ValueError):
         dual_search_seed(single)
+
+
+@pytest.mark.parametrize("min_multiplicity", [1, 0, -2])
+def test_dual_rejects_multiplicity_below_two(gf5, min_multiplicity):
+    # a point on a single line is no intersection point
+    A = Arrangement(gf5, enumerate_lines(gf5)[:4])
+    with pytest.raises(ValueError, match="min_multiplicity"):
+        dual_search_seed(A, min_multiplicity)
