@@ -27,7 +27,6 @@ from .errors import TripleLinesError
 from .field import (
     FieldElement,
     FieldSpec,
-    cube_roots_of_unity,
     make_field,
     parse_field,
     roots_of,
@@ -49,7 +48,7 @@ from .incidence import (
     save_arrangement,
     table,
 )
-from .polynomial import IntPolynomial, collinearity_poly
+from .polynomial import IntPolynomial
 from .projective import (
     ProjLine,
     ProjPoint,

@@ -36,7 +36,7 @@ from .incidence import (
     remove_line,
     table as incidence_table,
 )
-from .projective import ProjLine, ProjPoint, enumerate_lines, incident
+from .projective import ProjLine, ProjPoint, enumerate_lines
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,6 @@ def _fano_lines(F: FieldSpec, param=None):
     return [(f"L_{i + 1}", c) for i, c in enumerate(coords)]
 
 
-DUAL_HESSE_PENCIL_CENTER = (0, 0, 1)
-
-
 def dual_hesse_from_pg23(F: Optional[FieldSpec] = None) -> Arrangement:
     """All 13 lines of PG(2,3) minus the four through one point: 9 lines.
 
@@ -125,10 +122,10 @@ def dual_hesse_from_pg23(F: Optional[FieldSpec] = None) -> Arrangement:
     F = F or make_field(3)
     if F.p != 3:
         raise IneligibleField(f"PG(2,3) construction needs characteristic 3, got {F.p}")
-    sub = make_field(3)
-    center_sub = ProjPoint(sub, DUAL_HESSE_PENCIL_CENTER)
-    kept = [L for L in enumerate_lines(sub) if not incident(center_sub, ProjLine(sub, L.coords))]
-    lines = [ProjLine(F, [c.index for c in L.coords]) for L in kept]
+    # the pencil through (0:0:1) is the lines [a:b:0]; the prime-field
+    # constants 0, 1, 2 have the same indices in every field of characteristic 3
+    lines = [ProjLine._from_key(F, L.key()) for L in enumerate_lines(make_field(3))
+             if L.key()[2] != 0]
     labels = [f"H_{i + 1}" for i in range(len(lines))]
     return Arrangement(F, lines, labels)
 
@@ -367,11 +364,6 @@ def instantiate(cert: Certificate | str, F: FieldSpec,
     if isinstance(cert, str):
         cert = builtin(cert)
     return _arrangement(cert, F, _resolve_param(cert, F, param))
-
-
-def expected_points(cert: Certificate, F: FieldSpec,
-                    param: Optional[FieldElement] = None) -> list[tuple[str, ProjPoint]]:
-    return _points(cert, F, _resolve_param(cert, F, param))
 
 
 def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElement]):

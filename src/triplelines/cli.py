@@ -37,6 +37,7 @@ from .incidence import (
     abstract,
     arrangement_to_json,
     check_identity,
+    element_from_json,
     element_to_json,
     field_to_json,
     isomorphic,
@@ -65,10 +66,7 @@ def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
 
 def _parse_element(F: FieldSpec, text: str) -> FieldElement:
     coeffs = [int(c) for c in text.replace("[", "").replace("]", "").split(",")]
-    for c in coeffs:
-        if not 0 <= c < F.p:
-            raise ValueError(f"--param coefficient {c} is outside 0..{F.p - 1} for {F!r}")
-    return F.element(coeffs)
+    return element_from_json(F, coeffs, "--param coefficient")
 
 
 def _write_json(path: Optional[str], report: dict) -> None:

@@ -409,7 +409,3 @@ def roots_of(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:
     coeffs = reduce_int_poly(poly, F)
     return [x for x in F.elements() if eval_poly(coeffs, x).is_zero()]
 
-
-def cube_roots_of_unity(F: FieldSpec) -> list[FieldElement]:
-    """All x with x^3 = 1; there are three exactly when 3 divides q - 1."""
-    return [x for x in F.elements() if (x * x * x) == F.one]

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
 from .field import FieldElement, FieldSpec, make_field
-from .projective import ProjLine, ProjPoint, _meet_key, incident
+from .projective import ProjLine, ProjPoint, _cross_key, incident
 
 
 class Arrangement:
@@ -94,7 +94,7 @@ def profile(A: Arrangement) -> IntersectionProfile:
     keys = [L.key() for L in A.lines]
     through: dict[tuple, set[int]] = {}
     for (i, a), (j, b) in itertools.combinations(enumerate(keys), 2):
-        through.setdefault(_meet_key(F, a, b), set()).update((i, j))
+        through.setdefault(_cross_key(F, a, b), set()).update((i, j))
     lines_through = {ProjPoint._from_key(F, key): tuple(sorted(through[key]))
                      for key in sorted(through)}
     points = {P: len(ix) for P, ix in lines_through.items()}
@@ -316,11 +316,19 @@ def element_to_json(e: FieldElement):
     return e.index if e.field.k == 1 else list(e.coeffs)
 
 
-def _element_from_json(F: FieldSpec, value) -> FieldElement:
-    # in GF(p^k), k > 1, an integer could mean a constant or an element index
-    if isinstance(value, int) and F.k > 1 and not 0 <= value < F.p:
-        raise ValueError(f"integer coordinate {value} in {F!r} is not a constant "
-                         f"0..{F.p - 1}; write extension elements as coefficient lists")
+def element_from_json(F: FieldSpec, value, what: str) -> FieldElement:
+    """The element written as an integer in 0..p-1 (a constant) or as a list
+    of at most k such integers (coefficients, low degree first).
+
+    Nothing is coerced: a bool, float or string, or an integer that would
+    only reduce to a residue (in GF(p^k) it could also read as an element
+    index) raises ValueError, whose message calls the value `what`.
+    """
+    for c in value if isinstance(value, list) else [value]:
+        if type(c) is not int:
+            raise ValueError(f"{what} expected, got {c!r}")
+        if not 0 <= c < F.p:
+            raise ValueError(f"{what} {c} is outside 0..{F.p - 1} for {F!r}")
     return F.element(value)
 
 
@@ -332,7 +340,13 @@ def field_to_json(F: FieldSpec) -> dict:
 
 
 def field_from_json(d: dict) -> FieldSpec:
-    return make_field(d["p"], d.get("k", 1), d.get("modulus"))
+    if not (isinstance(d, dict) and "p" in d and d.keys() <= {"p", "k", "modulus"}):
+        raise ValueError(f"field {d!r} is not an object with p and optional k, modulus")
+    p, k, modulus = d["p"], d.get("k", 1), d.get("modulus")
+    if (modulus is not None and not isinstance(modulus, list)
+            or any(type(n) is not int for n in [p, k, *(modulus or [])])):
+        raise ValueError(f"field {d!r}: p, k and the modulus coefficients must be integers")
+    return make_field(p, k, modulus)
 
 
 def arrangement_to_json(A: Arrangement) -> dict:
@@ -346,10 +360,19 @@ def arrangement_to_json(A: Arrangement) -> dict:
 
 
 def arrangement_from_json(d: dict) -> Arrangement:
+    if not (isinstance(d, dict) and {"field", "lines"} <= d.keys() <= {"field", "lines", "labels"}):
+        raise ValueError("an arrangement is an object with field, lines and optional labels")
     F = field_from_json(d["field"])
-    lines = [ProjLine(F, [_element_from_json(F, c) for c in coords])
+    if not (isinstance(d["lines"], list) and all(isinstance(L, list) for L in d["lines"])):
+        raise ValueError(f"lines must be a list of coordinate lists, got {d['lines']!r}")
+    lines = [ProjLine(F, [element_from_json(F, c, "integer coordinate") for c in coords])
              for coords in d["lines"]]
-    return Arrangement(F, lines, d.get("labels"))
+    labels = d.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)
+                                   and len(set(labels)) == len(labels)):
+        raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
+    return Arrangement(F, lines, labels)
 
 
 def save_arrangement(A: Arrangement, path: str) -> None:

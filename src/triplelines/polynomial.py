@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .field import FieldElement, FieldSpec
-from .projective import det3
 
 VARIABLES = ("a", "b", "c", "d")
 
@@ -163,11 +162,3 @@ def poly_ring(variables: Sequence[str]) -> tuple:
     const = lambda c: IntPolynomial.constant(c, variables)
     return gens, const
 
-
-def collinearity_poly(P: Sequence[IntPolynomial], Q: Sequence[IntPolynomial],
-                      R: Sequence[IntPolynomial]) -> IntPolynomial:
-    """Determinant whose vanishing says the three symbolic points are collinear.
-
-    Returned with collected terms, content 1 and positive leading coefficient.
-    """
-    return det3([P, Q, R]).content_normalized()

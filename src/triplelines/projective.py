@@ -1,11 +1,12 @@
 """Points, lines and incidence in the projective plane PG(2, F).
 
-Both points and lines are homogeneous triples normalized so that the first
-nonzero coordinate is 1, giving O(1) structural equality. Incidence is a
-vanishing dot product, join/meet are cross products, and collinearity or
-concurrency is a vanishing 3x3 determinant. The meet of two lines is computed
-on element indices through the field tables (_meet_key), which is what the
-intersection profiles of arrangements run on.
+A point or line is stored as its normalized index triple: the element
+indices of its coordinates, scaled by normalized_key so that the first
+nonzero one is 1, which gives O(1) structural equality; `coords` builds the
+FieldElements on demand. Incidence is a vanishing dot product, join and meet
+are cross products (on index triples through the field tables, _cross_key,
+which the intersection profiles of arrangements run on), and collinearity or
+concurrency is a vanishing 3x3 determinant.
 """
 
 from __future__ import annotations
@@ -16,61 +17,66 @@ from .errors import FieldMismatch, IdenticalArguments
 from .field import FieldElement, FieldSpec
 
 
-def _normalize(field: FieldSpec, coords) -> tuple[FieldElement, FieldElement, FieldElement]:
-    elems = []
-    for c in coords:
-        if isinstance(c, FieldElement):
-            if c.field != field:
-                raise FieldMismatch(f"coordinate from {c.field!r} used in {field!r}")
-            elems.append(c)
-        else:
-            elems.append(field.element(c))
-    if len(elems) != 3:
-        raise ValueError(f"homogeneous triple expected, got {len(elems)} coordinates")
-    pivot = next((e for e in elems if not e.is_zero()), None)
-    if pivot is None:
+def normalized_key(F: FieldSpec, x: int, y: int, z: int) -> tuple:
+    """The index triple (x, y, z) scaled so that its first nonzero entry is 1.
+
+    Raises ValueError for (0, 0, 0).
+    """
+    pivot = x or y or z
+    if pivot == 1:
+        return (x, y, z)
+    if not pivot:
         raise ValueError("(0:0:0) is not a projective element")
-    if pivot.index == 1:
-        return tuple(elems)
-    scale = pivot.inverse()
-    return tuple(e * scale for e in elems)
+    scale = F.mul_table[F.inv_table[pivot]]
+    return (scale[x], scale[y], scale[z])
+
+
+def _index(field: FieldSpec, c) -> int:
+    if isinstance(c, FieldElement):
+        if c.field != field:
+            raise FieldMismatch(f"coordinate from {c.field!r} used in {field!r}")
+        return c.index
+    return field.element(c).index
 
 
 class _Homogeneous:
-    __slots__ = ("field", "coords", "_key")
+    """A point or line of PG(2, field), stored as the field and its normalized
+    index triple; `coords`, the FieldElement triple, is derived from it."""
+
+    __slots__ = ("field", "_key")
 
     def __init__(self, field: FieldSpec, coords):
+        indices = [_index(field, c) for c in coords]
+        if len(indices) != 3:
+            raise ValueError(f"homogeneous triple expected, got {len(indices)} coordinates")
         self.field = field
-        self.coords = _normalize(field, coords)
-        self._key = None
+        self._key = normalized_key(field, *indices)
 
     @classmethod
     def _from_key(cls, field: FieldSpec, key: tuple):
         """The element whose normalized index triple is key, taken as it is."""
         obj = cls.__new__(cls)
         obj.field = field
-        obj.coords = tuple(FieldElement(field, i) for i in key)
         obj._key = key
         return obj
 
     def key(self) -> tuple:
-        """The normalized coordinates as element indices, computed once."""
-        if self._key is None:
-            self._key = tuple(c.index for c in self.coords)
+        """The normalized coordinates as element indices."""
         return self._key
+
+    @property
+    def coords(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        return tuple(FieldElement(self.field, i) for i in self._key)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.field == other.field
-                and self.key() == other.key())
+                and self._key == other._key)
 
     def __hash__(self) -> int:
-        # hashing leaves an uncached key uncached: a plane's points and lines
-        # are hashed once each, and keeping their keys would only cost memory
-        key = self._key or tuple(c.index for c in self.coords)
-        return hash((type(self).__name__, self.field.key(), key))
+        return hash((type(self).__name__, self.field.key(), self._key))
 
     def __lt__(self, other) -> bool:
-        return self.key() < other.key()
+        return self._key < other._key
 
 
 class ProjPoint(_Homogeneous):
@@ -120,40 +126,34 @@ def incident(P: ProjPoint, L: ProjLine) -> bool:
     return dot(P, L).is_zero()
 
 
-def join(P: ProjPoint, Q: ProjPoint) -> ProjLine:
-    """The unique line through two distinct points."""
-    _check_same_field(P, Q)
-    if P == Q:
-        raise IdenticalArguments(f"join of identical points {P!r}")
-    return ProjLine(P.field, cross(P.coords, Q.coords))
-
-
-def _meet_key(F: FieldSpec, a: tuple, b: tuple) -> tuple:
-    """Normalized index triple of the meet of the lines with normalized index
-    triples a and b: the cross product a x b over the field tables, scaled so
-    that its first nonzero entry is 1.
+def _cross_key(F: FieldSpec, a: tuple, b: tuple) -> tuple:
+    """Normalized index triple of the cross product a x b of two normalized
+    index triples, over the field tables: the meet of two lines, or the join
+    of two points.
 
     Raises IdenticalArguments when a == b (the cross product vanishes).
     """
     add, mul, neg = F.add_table, F.mul_table, F.neg_table
     a0, a1, a2 = a
     b0, b1, b2 = b
-    x = add[mul[a1][b2]][neg[mul[a2][b1]]]
-    y = add[mul[a2][b0]][neg[mul[a0][b2]]]
-    z = add[mul[a0][b1]][neg[mul[a1][b0]]]
-    pivot = x or y or z
-    if pivot == 1:
-        return (x, y, z)
-    if not pivot:
-        raise IdenticalArguments(f"meet of identical lines with key {a}")
-    scale = mul[F.inv_table[pivot]]
-    return (scale[x], scale[y], scale[z])
+    try:
+        return normalized_key(F, add[mul[a1][b2]][neg[mul[a2][b1]]],
+                              add[mul[a2][b0]][neg[mul[a0][b2]]],
+                              add[mul[a0][b1]][neg[mul[a1][b0]]])
+    except ValueError:
+        raise IdenticalArguments(f"identical points or lines with key {a}") from None
+
+
+def join(P: ProjPoint, Q: ProjPoint) -> ProjLine:
+    """The unique line through two distinct points."""
+    _check_same_field(P, Q)
+    return ProjLine._from_key(P.field, _cross_key(P.field, P.key(), Q.key()))
 
 
 def meet(L1: ProjLine, L2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines."""
     _check_same_field(L1, L2)
-    return ProjPoint._from_key(L1.field, _meet_key(L1.field, L1.key(), L2.key()))
+    return ProjPoint._from_key(L1.field, _cross_key(L1.field, L1.key(), L2.key()))
 
 
 def collinear(P: ProjPoint, Q: ProjPoint, R: ProjPoint) -> bool:
@@ -170,22 +170,19 @@ def concurrent(L1: ProjLine, L2: ProjLine, L3: ProjLine) -> bool:
 
 def as_line(P: ProjPoint) -> ProjLine:
     """Duality swap: reinterpret point coordinates as line coefficients."""
-    return ProjLine(P.field, P.coords)
+    return ProjLine._from_key(P.field, P.key())
 
 
-def _enumerate_triples(F: FieldSpec):
-    one = F.one
-    elems = F.elements()
-    # normalized representatives in lexicographic coordinate order; with
-    # coordinates read as element indices, (0:0:1) comes first, (0:1:z) has
-    # position 1 + z and (1:y:z) position 1 + q + q*y + z (triple_position)
-    out = [(F.zero, F.zero, one)]
-    for c in elems:
-        out.append((F.zero, one, c))
-    for b in elems:
-        for c in elems:
-            out.append((one, b, c))
-    return out
+def _enumerate_triples(q: int):
+    """The normalized index triples over a field of order q, in lexicographic
+    order: (0:0:1) comes first, (0:1:z) has position 1 + z and (1:y:z)
+    position 1 + q + q*y + z (triple_position)."""
+    yield (0, 0, 1)
+    for c in range(q):
+        yield (0, 1, c)
+    for b in range(q):
+        for c in range(q):
+            yield (1, b, c)
 
 
 def triple_position(q: int, key: tuple) -> int:
@@ -212,8 +209,7 @@ def line_point_indices(F: FieldSpec) -> list[tuple[int, ...]]:
     position = list(range(q * q + q + 1))
     affine = [position[1 + q + q * y:1 + 2 * q + q * y] for y in range(q)]
     out = []
-    for L in _enumerate_triples(F):
-        a, b, c = (e.index for e in L)
+    for a, b, c in _enumerate_triples(q):
         if c:
             minus_inv_c = mul[neg[inv[c]]]
             by, a_plus = mul[b], add[a]
@@ -229,8 +225,8 @@ def line_point_indices(F: FieldSpec) -> list[tuple[int, ...]]:
 
 def enumerate_points(F: FieldSpec) -> list[ProjPoint]:
     """All q^2 + q + 1 points, deterministic coordinate-lexicographic order."""
-    return [ProjPoint(F, t) for t in _enumerate_triples(F)]
+    return [ProjPoint._from_key(F, t) for t in _enumerate_triples(F.order)]
 
 
 def enumerate_lines(F: FieldSpec) -> list[ProjLine]:
-    return [ProjLine(F, t) for t in _enumerate_triples(F)]
+    return [ProjLine._from_key(F, t) for t in _enumerate_triples(F.order)]

@@ -52,7 +52,8 @@ from typing import Optional
 from .bounds import schoenheim_u3
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
-from .projective import as_line, enumerate_lines, line_point_indices, triple_position
+from .projective import (as_line, enumerate_lines, line_point_indices, normalized_key,
+                         triple_position)
 
 
 class Plane:
@@ -149,16 +150,11 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
     transposition, a 4-cycle and Frobenius) computed over the field tables.
     """
     F = plane.field
-    q, add, mul, inv = F.order, F.add_table, F.mul_table, F.inv_table
-    coords = [tuple(e.index for e in L.coords) for L in plane.lines]
+    q, add, mul = F.order, F.add_table, F.mul_table
+    keys = [L.key() for L in plane.lines]
 
     def permutation(image) -> tuple[int, ...]:
-        out = []
-        for u in coords:
-            a, b, c = image(u)
-            scale = mul[inv[a or b or c]]
-            out.append(triple_position(q, (scale[a], scale[b], scale[c])))
-        return tuple(out)
+        return tuple(triple_position(q, normalized_key(F, *image(u))) for u in keys)
 
     def linear(rows):
         m = [[x % F.p for x in row] for row in rows]     # prime-field indices
@@ -178,7 +174,7 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
             frob.append(power)
         gens.append(permutation(lambda u: tuple(frob[e] for e in u)))
 
-    identity = tuple(range(len(coords)))
+    identity = tuple(range(len(keys)))
     group, frontier = {identity}, [identity]
     while frontier and len(group) <= 24 * F.k:
         new = []

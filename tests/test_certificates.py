@@ -9,7 +9,6 @@ from triplelines.certificates import (
     builtin,
     certificate_table,
     dual_hesse_from_pg23,
-    expected_points,
     instantiate,
     verify,
 )
@@ -17,6 +16,7 @@ from triplelines.constraints import default_battery
 from triplelines.errors import IneligibleField, UnknownName
 from triplelines.field import make_field, roots_of
 from triplelines.incidence import abstract, isomorphic, profile, remove_line
+from triplelines.projective import ProjPoint
 
 
 def test_catalogue_contents():
@@ -178,7 +178,8 @@ def test_expected_points_match_table_multiplicities():
     for name, F in [("TEN_E1", make_field(2, 2)), ("TEN_E2", make_field(5)),
                     ("ELEVEN_16", make_field(11))]:
         cert = builtin(name)
-        pts = expected_points(cert, F)
+        value = roots_of(cert.param.poly, F)[0] if cert.param else None
+        pts = [(label, ProjPoint(F, c)) for label, c in cert.points_fn(F, value)]
         tab = certificate_table(name, F)
         sums = {label: sum(row[j] for row in tab.cells)
                 for j, label in enumerate(tab.col_labels)}

@@ -282,6 +282,32 @@ def test_profile_rejects_ambiguous_integer_in_extension_field(tmp_path):
     assert run(["profile", str(arr)]).exit_code == 0
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["lines"][0].__setitem__(0, -4), "integer coordinate -4 is outside 0..4"),
+    (lambda d: d["lines"][0].__setitem__(0, 5), "integer coordinate 5 is outside 0..4"),
+    (lambda d: d["lines"][0].__setitem__(0, 1.5), "integer coordinate expected, got 1.5"),
+    (lambda d: d["lines"][0].__setitem__(0, "1"), "integer coordinate expected, got '1'"),
+    (lambda d: d["lines"][0].__setitem__(0, True), "integer coordinate expected, got True"),
+    (lambda d: d["lines"][0].__setitem__(0, [1, 0]), "2 coefficients"),
+    (lambda d: d["lines"].__setitem__(0, 7), "lines must be a list of coordinate lists"),
+    (lambda d: d.__setitem__("field", 5), "is not an object with p"),
+    (lambda d: d["field"].__setitem__("k", True), "must be integers"),
+    (lambda d: d.__setitem__("label", []), "optional labels"),
+    (lambda d: d.__setitem__("labels", list(range(10))), "distinct strings"),
+    (lambda d: d.__setitem__("labels", ["L_1"] * 10), "distinct strings"),
+], ids=["negative", "residue", "float", "string", "bool", "long-list", "line-not-list",
+        "field-not-object", "bool-degree", "unknown-key", "integer-labels", "repeated-labels"])
+def test_profile_rejects_malformed_arrangement_file(tmp_path, edit, message):
+    arr = tmp_path / "e2.json"
+    assert run(["export", "TEN_E2", "--field", "5", "--out", str(arr)]).exit_code == 0
+    assert run(["profile", str(arr)]).exit_code == 0
+    data = json.loads(arr.read_text())
+    edit(data)
+    arr.write_text(json.dumps(data))
+    res = run(["profile", str(arr)])
+    assert res.exit_code == 2 and message in res.text
+
+
 def test_profile_csv_table(tmp_path):
     arr = tmp_path / "fano.json"
     run(["export", "FANO", "--field", "2", "--out", str(arr)])

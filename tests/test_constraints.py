@@ -24,7 +24,7 @@ from triplelines.constraints import (
 from triplelines.errors import FieldTooLarge, UnsolvedAssignment
 from triplelines.field import make_field, roots_of
 from triplelines.incidence import profile
-from triplelines.polynomial import IntPolynomial, collinearity_poly, poly_ring
+from triplelines.polynomial import IntPolynomial, poly_ring
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +39,6 @@ def test_int_polynomial_arithmetic():
     F = make_field(7)
     val = p.evaluate({"a": F(3), "b": F(2)}, F)
     assert val == F(5)
-
-
-def test_collinearity_poly_identity_rows():
-    (a, b, c, d), const = poly_ring(("a", "b", "c", "d"))
-    zero, one = const(0), const(1)
-    p = collinearity_poly((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    assert p == const(1)
-    doubled = collinearity_poly((zero, zero, one), (one, one, zero), (one, one, zero))
-    assert doubled.is_zero()
 
 
 def test_collinearity_poly_reproduces_a_minus_bc():

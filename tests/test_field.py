@@ -17,7 +17,6 @@ from triplelines.field import (
     FieldSpec,
     _poly_mul,
     _trim,
-    cube_roots_of_unity,
     default_modulus,
     is_prime,
     make_field,
@@ -229,13 +228,6 @@ def test_roots_cross_check_against_evaluation():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
         roots_of([7, 14], make_field(7))
-
-
-def test_cube_roots_of_unity():
-    assert [r.index for r in cube_roots_of_unity(make_field(2))] == [1]
-    assert len(cube_roots_of_unity(make_field(2, 2))) == 3
-    assert [r.index for r in cube_roots_of_unity(make_field(7))] == [1, 2, 4]
-    assert len(cube_roots_of_unity(make_field(2, 3))) == 1  # 3 does not divide 7
 
 
 # ---------------------------------------------------------------------------

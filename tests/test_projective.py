@@ -1,6 +1,7 @@
 """Incidence, join/meet, collinearity and plane enumeration in PG(2, F)."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from triplelines.projective import (
     as_line,
     collinear,
     concurrent,
+    cross,
     dot,
     enumerate_lines,
     enumerate_points,
@@ -44,6 +46,35 @@ def test_normalization_united_representatives():
     assert ProjPoint(F5, (0, 2, 1)) == ProjPoint(F5, (0, 1, 3))
     with pytest.raises(ValueError):
         ProjPoint(F5, (0, 0, 0))
+
+
+ORACLE_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
+                 make_field(2, 3), make_field(3, 2)]
+
+
+def _scaled_by_pivot(triple) -> tuple:
+    """Reference normalization on FieldElements: scale by the inverse of the
+    first nonzero entry, then read off the element indices."""
+    scale = next(e for e in triple if not e.is_zero()).inverse()
+    return tuple((e * scale).index for e in triple)
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=repr)
+def test_key_is_every_triple_scaled_by_its_pivot(F):
+    for t in itertools.product(F.elements(), repeat=3):
+        if any(not e.is_zero() for e in t):
+            assert ProjLine(F, t).key() == _scaled_by_pivot(t)
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=repr)
+def test_join_is_the_normalized_cross_product(F):
+    rng = random.Random(F.order)
+    points = enumerate_points(F)
+    for _ in range(200):
+        P, Q = rng.sample(points, 2)
+        c = cross(P.coords, Q.coords)
+        assert join(P, Q) == ProjLine(F, c)
+        assert join(P, Q).key() == _scaled_by_pivot(c)
 
 
 def test_meet_and_join_examples():
