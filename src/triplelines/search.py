@@ -4,16 +4,33 @@ Depth-first extension of line subsets of PG(2,q) in a fixed deterministic
 order. A node's state is an immutable value: the chosen line ids and four
 bit masks over point indices, holding the points met by exactly 1, 2, 3 and
 at least 4 chosen lines. Adding a line is a few int operations on its point
-mask, and bit counts give the triple and double points. Two admissibility
+mask, and bit counts give the triple and double points. Three admissibility
 prunes apply:
 
   * capacity: the j-th added line meets j chosen lines, so it can create at
     most min(floor(j/2), q+1) new triple points;
   * pair budget: the remaining C(s,2) - C(k,2) unordered line pairs must pay
     for every new triple point: promoting an existing double point costs two
-    pairs, a fresh triple point costs three.
+    pairs, a fresh triple point costs three;
+  * gains: at a node with triple count t3, the gain of a candidate line c is
+    |c meets double points| - |c meets exact triple points| (for atleast3 the
+    first term only), exactly how much t3 changes when c alone is added. A
+    child adding line a, with r more lines still to come from the candidates
+    after a, is cut when t3 + gain(a) + b1 + (r-1) b2 + C(r+1,2) < t, where
+    b1 >= b2 are the two largest gains after a.
 
-The bound is tested on each child before the search enters it, so a child
+The capacity and pair budget bounds are one precomputed headroom table. The
+gain bound is sound because the r+1 new lines change the count by exactly the
+sum of their gains, except at points where j >= 2 of them meet; at such a
+point the error is at most C(j,2) for every multiplicity the point had before
+(for exact3: +1 if it was met by one line and j = 2, or by none and j = 3;
+j-1 if it was an exact triple point; negative if it was a double point; for
+atleast3 at most 1). Two new lines meet in exactly one point, so the errors
+sum to at most C(r+1,2), and b1 + (r-1) b2 is at least the sum of the r
+largest gains. A leaf's count is the node's count plus its gain, so no masks
+are built for it.
+
+The bounds are tested on each child before the search enters it, so a child
 that fails is neither entered nor counted as a node.
 
 Every search prunes against a target t. A maximum is found by passes at
@@ -31,10 +48,10 @@ the other lines, and the search enters only subsets that are the lex-least
 of their orbit (McKay, "Isomorph-free exhaustive generation", 1998): a child
 is cut when some g maps its chosen candidate positions X to a set whose
 sorted positions come first. Every extension of a cut prefix would be cut
-too, and no prefix of an orbit's lex-least member ever is. As the bound
-never cuts a prefix of a subset that reaches its limit, and the triple
-count is the same on a whole orbit, every best value is kept. Leaves are
-entered without either test. Searches and their reports are per-field
+too, and no prefix of an orbit's lex-least member ever is. As no bound
+cuts a prefix of a subset that reaches the target, and the triple count is
+the same on a whole orbit, every best value is kept. Leaves are entered
+without a bound or symmetry test. Searches and their reports are per-field
 evidence only.
 """
 
@@ -284,43 +301,77 @@ class _Searcher:
                   stop: int) -> None:
         """Enter the children of a node that add candidates[start:stop].
 
-        A leaf child is always entered and recorded. Any other child is
-        entered only if it passes the bound and then the symmetry check, and
-        its own children follow. Every state entered counts as a node.
+        gains[i] is how much the triple count changes when candidates[start + i]
+        joins the node. A leaf child is always entered and recorded with the
+        node's count plus its gain. Any other child is entered only if it
+        passes the gain bound, then the headroom bound and then the symmetry
+        check, and its own children follow. Every state entered counts as a
+        node.
         """
         candidates, masks, bits, cand_images = (self.candidates, self.masks,
                                                 self.bit, self.images)
-        exact, target = self.exact, self.target
+        target = self.target
         chosen, m1, m2, m3, m4 = state
-        covered = m1 | m2 | m3 | m4
+        t3 = (m3 if self.exact else m3 | m4).bit_count()
         k = len(chosen) + 1                    # lines in each child
-        leaf = k == self.cfg.s
+        r = self.cfg.s - k                     # lines still to add below a child
+        # a leaf takes no later line; any other child takes its later lines
+        # from the candidates after its own
+        tail = masks[start:stop if r == 0 else None]
+        gains = ([(m & m2).bit_count() - (m & m3).bit_count() for m in tail] if self.exact
+                 else [(m & m2).bit_count() for m in tail])
+        if r == 0:
+            for idx, gain in enumerate(gains, start):
+                self.nodes += 1
+                if self.nodes > self.node_budget:
+                    self.budget_hit = True
+                    return
+                self._record(chosen + (candidates[idx],), t3 + gain)
+                if self.stop:
+                    return
+            return
+
+        # reach[i]: gains[i] plus b1 + (r-1) b2, where b1 >= b2 are the two
+        # largest gains after position i; b1 + (r-1) b2 is at least the sum of
+        # the r largest
+        n = stop - start
+        b1 = b2 = -self.cfg.field.order - 2    # below any gain; b2 weighs only if r > 1
+        for g in gains[n:]:
+            if g > b2:
+                b1, b2 = (g, b1) if g > b1 else (b1, g)
+        reach = [0] * n
+        for i in range(n - 1, -1, -1):
+            g = gains[i]
+            reach[i] = g + b1 + (r - 1) * b2
+            if g > b2:
+                b1, b2 = (g, b1) if g > b1 else (b1, g)
+        # pairs of new lines meet once each: that adds at most C(r+1, 2)
+        need = target - t3 - comb(r + 1, 2)
+        covered = m1 | m2 | m3 | m4
         row = self.headroom[k]
         top = len(row) - 1
-        grandchild_stop = len(candidates) - (self.cfg.s - k) + 1
+        grandchild_stop = len(candidates) - r + 1
         for idx in range(start, stop):
+            if reach[idx - start] < need:
+                continue
             # the child's masks: a point of the new line moves up one count
             m = masks[idx]
-            c2, c3, c4 = m2 & ~m | m1 & m, m3 & ~m | m2 & m, m4 | m3 & m
-            t3 = (c3 if exact else c3 | c4).bit_count()
-            if not leaf:
-                d2 = c2.bit_count()
-                if t3 + row[d2 if d2 < top else top] < target:
-                    continue
-                child_x = x | 1 << bits[idx]
-                child_images = tuple(map(or_, images, map(lshift, repeat(1),
-                                                           cand_images[idx])))
-                if child_images and max(child_images) > child_x:
-                    continue
+            c2 = m2 & ~m | m1 & m
+            d2 = c2.bit_count()
+            if t3 + gains[idx - start] + row[d2 if d2 < top else top] < target:
+                continue
+            child_x = x | 1 << bits[idx]
+            child_images = tuple(map(or_, images, map(lshift, repeat(1),
+                                                       cand_images[idx])))
+            if child_images and max(child_images) > child_x:
+                continue
             self.nodes += 1
             if self.nodes > self.node_budget:
                 self.budget_hit = True
                 return
-            child = (chosen + (candidates[idx],), m1 & ~m | m & ~covered, c2, c3, c4)
-            if leaf:
-                self._record(child[0], t3)
-            else:
-                self._children(child, child_x, child_images, idx + 1, grandchild_stop)
+            child = (chosen + (candidates[idx],), m1 & ~m | m & ~covered, c2,
+                     m3 & ~m | m2 & m, m4 | m3 & m)
+            self._children(child, child_x, child_images, idx + 1, grandchild_stop)
             if self.stop or self.budget_hit:
                 return
 

@@ -198,11 +198,11 @@ def test_config_rejects_meaningless_settings(gf5):
 
 
 @pytest.mark.parametrize("p, kwargs, expected", [
-    (5, dict(s=10), (13, 1812, True)),
-    (5, dict(s=10, threads=2), (13, 1812, True)),
-    (5, dict(s=8), (7, 408, True)),
-    (5, dict(s=8, metric="atleast3"), (7, 424, True)),
-    (3, dict(s=7, normalize_frame=False), (6, 1199, True)),
+    (5, dict(s=10), (13, 1366, True)),
+    (5, dict(s=10, threads=2), (13, 1366, True)),
+    (5, dict(s=8), (7, 401, True)),
+    (5, dict(s=8, metric="atleast3"), (7, 417, True)),
+    (3, dict(s=7, normalize_frame=False), (6, 835, True)),
 ])
 def test_node_counts_are_pinned(p, kwargs, expected):
     # exact node counts: a change here changes what the search visits
@@ -226,42 +226,46 @@ def test_threads_match_sequential(gf3, gf5):
                 == [arrangement_to_json(w) for w in par.witnesses])
 
 
+# GF(5), s=11, target 17 is refuted in 720 nodes: the root, then 248 in the
+# first branch and 425 in the second
 @pytest.mark.parametrize("s, target, max_nodes", [
     (10, 13, 10 ** 9),          # stops on the target
-    (11, 17, 1000),             # budget spent inside the second branch
-    (11, 17, 1427),             # budget spent on the very last node
-    (11, 17, 1428),             # exhaustive with no node to spare
+    (11, 17, 500),              # budget spent inside the second branch
+    (11, 17, 719),              # budget spent on the very last node
+    (11, 17, 720),              # exhaustive with no node to spare
 ])
 def test_threads_agree_with_target(gf5, s, target, max_nodes):
     seq, par = _run_both(gf5, s=s, target=target, max_nodes=max_nodes)
     for rep in (seq, par):
         assert rep.nodes_visited <= max_nodes + 1
+        assert rep.exhaustive == (not rep.target_reached and max_nodes >= 720)
     assert ((seq.best, seq.nodes_visited, seq.exhaustive, seq.target_reached)
             == (par.best, par.nodes_visited, par.exhaustive, par.target_reached))
 
 
-# GF(5), s=8 without a target: the pass at t = U_3(8) = 8 is refuted in 220
-# nodes, then the pass at t = 7 reaches it and collects witnesses in 187
+# GF(5), s=8 without a target: after the root, the pass at t = U_3(8) = 8 is
+# refuted in 213 nodes, then the pass at t = 7 reaches it and collects
+# witnesses in 187
 @pytest.mark.parametrize("max_nodes", [
     100,            # spent inside the refutation pass
-    220,            # spent on the last node of the refutation pass
-    221,            # the refutation pass ends with no node to spare
+    213,            # spent on the last node of the refutation pass
+    214,            # the refutation pass ends with no node to spare
     300,            # spent inside the witness pass
-    407,            # spent on the last node of the witness pass
-    408,            # exhaustive with no node to spare
+    400,            # spent on the last node of the witness pass
+    401,            # exhaustive with no node to spare
 ])
 def test_threads_agree_on_budget_across_passes(gf5, max_nodes):
     seq, par = _run_both(gf5, s=8, max_nodes=max_nodes)
     for rep in (seq, par):
         assert rep.nodes_visited <= max_nodes + 1
-        assert rep.best_is_maximum == rep.exhaustive == (max_nodes >= 408)
+        assert rep.best_is_maximum == rep.exhaustive == (max_nodes >= 401)
     assert ((seq.best, seq.nodes_visited, seq.exhaustive)
             == (par.best, par.nodes_visited, par.exhaustive))
 
 
 def test_pass_notes_of_a_maximum(gf5):
     rep = max_triple_search(SearchConfig(field=gf5, s=8))
-    assert ("target passes from U_3(s) down: t=8 refuted in 220 nodes, "
+    assert ("target passes from U_3(s) down: t=8 refuted in 213 nodes, "
             "t=7 reached in 187 nodes") in rep.notes
 
 
@@ -394,6 +398,25 @@ def test_symmetry_pruning_keeps_best_values(gf2, gf3, gf4, gf5):
                 assert on.best == oracle[metric], (F, s, metric)
             if F.order == 2:
                 assert on.best == brute_force_best_triples(F, s, metric), (s, metric)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_no_frame_targets_at_the_maximum(p, k):
+    # with no fixed line the first child leaves r = s - 1 lines to add, where
+    # the gain bound's C(r+1, 2) pair term is largest: a maximum must be
+    # reached by a search for it and refuted by one for one more
+    F = make_field(p, k)
+    for s in range(5, min(8, len(Plane.of(F).lines)) + 1):
+        oracle = _subset_best(F, s) if F.order < 4 else None
+        for metric in ("exact3", "atleast3"):
+            best = (oracle[metric] if oracle is not None else
+                    max_triple_search(SearchConfig(field=F, s=s, metric=metric)).best)
+            hit, miss = (max_triple_search(SearchConfig(field=F, s=s, metric=metric,
+                                                        target=best + d,
+                                                        normalize_frame=False))
+                         for d in (0, 1))
+            assert hit.target_reached and hit.best == best, (F, s, metric)
+            assert not miss.target_reached and miss.exhaustive, (F, s, metric)
 
 
 # ---------------------------------------------------------------------------
