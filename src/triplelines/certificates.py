@@ -6,6 +6,12 @@ an eligibility predicate on the ground field, the expected t-vector, and -
 where published - the labelled special points and the full incidence table.
 verify() recomputes all of it from scratch and reports any mismatch.
 
+TEN_E1 and TEN_E2 are solutions of the paper's case analysis, so their lines
+and labelled points are not typed out here: they are read from the scenario
+recipes in constraints.py, evaluated at the values named below. Their
+published incidence tables stay here as the independent claim that verify()
+checks.
+
 Certificate catalogue:
 
   SMALL_3..SMALL_6   small optima (3..6 lines), valid over every field
@@ -15,8 +21,10 @@ Certificate catalogue:
   MOEBIUS_KANTOR     eight lines, eight triple points, one line removed
                      from DUAL_HESSE
   TEN_E1             ten lines, one 4-fold point, characteristic 2 with a
-                     nontrivial cube root of unity a (a^2+a+1 = 0)
-  TEN_E2             ten lines, thirteen triple points, characteristic 5
+                     nontrivial cube root of unity a (a^2+a+1 = 0): the
+                     TEN_E1 recipe at (a, b, c, d) = (a, a^2, a^2, a)
+  TEN_E2             ten lines, thirteen triple points, characteristic 5:
+                     the TEN_CASE_B recipe at (a, b, c) = (3, 1, 2)
   ELEVEN_16          eleven lines, sixteen triple points, parameter b with
                      b^2+b-1 = 0 (golden-ratio condition), characteristic
                      not 2
@@ -27,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .constraints import _RECIPES, TEN_CASE_B, TEN_E1
 from .errors import IneligibleField, UnknownName
 from .field import FieldElement, FieldSpec, make_field, roots_of
 from .incidence import (
@@ -49,12 +58,11 @@ class ParamSpec:
 @dataclass(frozen=True)
 class Certificate:
     name: str
-    description: str
     tvec: dict
     eligibility: Callable[[FieldSpec], Optional[str]]
-    lines_fn: Callable
+    # (F, param) -> (labelled line coordinates, labelled point coordinates)
+    build: Callable
     param: Optional[ParamSpec] = None
-    points_fn: Optional[Callable] = None
     table: Optional[dict] = None
 
 
@@ -80,16 +88,10 @@ def _any_field(F: FieldSpec) -> Optional[str]:
     return None
 
 
-def _char2(F: FieldSpec) -> Optional[str]:
-    return None if F.p == 2 else f"characteristic {F.p}, need characteristic 2"
-
-
-def _char3(F: FieldSpec) -> Optional[str]:
-    return None if F.p == 3 else f"characteristic {F.p}, need characteristic 3"
-
-
-def _char5(F: FieldSpec) -> Optional[str]:
-    return None if F.p == 5 else f"characteristic {F.p}, need characteristic 5"
+def _characteristic(p: int) -> Callable[[FieldSpec], Optional[str]]:
+    def check(F: FieldSpec) -> Optional[str]:
+        return None if F.p == p else f"characteristic {F.p}, need characteristic {p}"
+    return check
 
 
 def _odd_char(F: FieldSpec) -> Optional[str]:
@@ -102,15 +104,10 @@ def _odd_char(F: FieldSpec) -> Optional[str]:
 # line, point and table data
 # ---------------------------------------------------------------------------
 
-def _small_lines(coords: Sequence[tuple]):
+def _fixed_lines(coords: Sequence[tuple]):
     def build(F: FieldSpec, param=None):
-        return [(f"L_{i + 1}", c) for i, c in enumerate(coords)]
+        return [(f"L_{i + 1}", c) for i, c in enumerate(coords)], []
     return build
-
-
-def _fano_lines(F: FieldSpec, param=None):
-    coords = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    return [(f"L_{i + 1}", c) for i, c in enumerate(coords)]
 
 
 def dual_hesse_from_pg23(F: Optional[FieldSpec] = None) -> Arrangement:
@@ -130,36 +127,23 @@ def dual_hesse_from_pg23(F: Optional[FieldSpec] = None) -> Arrangement:
     return Arrangement(F, lines, labels)
 
 
-def _dual_hesse_lines(F: FieldSpec, param=None):
-    A = dual_hesse_from_pg23(F)
-    return [(A.labels[i], A.lines[i].coords) for i in range(A.s)]
+def _arrangement_lines(A: Arrangement):
+    return [(A.labels[i], A.lines[i].coords) for i in range(A.s)], []
 
 
-def _moebius_kantor_lines(F: FieldSpec, param=None):
-    A = remove_line(dual_hesse_from_pg23(F), 0)
-    return [(A.labels[i], A.lines[i].coords) for i in range(A.s)]
+def _recipe_realization(scenario: str, values: Callable, points: Sequence[str],
+                        renamed: Optional[dict] = None):
+    """Lines L_1, L_2, ... then the recipe's lines, and the published points,
+    all read from one construction of the scenario recipe at values(F, param).
+    `renamed` maps a published point label to the construction's name."""
+    recipe = _RECIPES[scenario]
+    renamed = renamed or {}
 
-
-def _ten_e1_lines(F: FieldSpec, a: FieldElement):
-    a2 = a * a
-    return [
-        ("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
-        ("L_4", (1, 1, 1)), ("L_5", (a, a2, F.one)), ("L_6", (a2, a, F.one)),
-        ("M_1", (1, 1, 0)), ("M_2", (a, F.zero, F.one)),
-        ("M_3", (a2, F.one, F.one)), ("M_4", (F.one, a2, F.one)),
-    ]
-
-
-def _ten_e1_points(F: FieldSpec, a: FieldElement):
-    a2 = a * a
-    one, zero = F.one, F.zero
-    return [
-        ("W", (one, one, a)),
-        ("P_12", (0, 0, 1)), ("P_13", (0, 1, 0)), ("P_14", (0, 1, 1)),
-        ("P_15", (zero, one, a2)), ("P_24", (1, 0, 1)), ("P_25", (one, zero, a)),
-        ("P_26", (one, zero, a2)), ("P_34", (1, 1, 0)), ("P_35", (a, one, zero)),
-        ("P_36", (one, a, zero)), ("P_46", (a2, a, one)), ("P_56", (1, 1, 1)),
-    ]
+    def build(F: FieldSpec, param):
+        g = recipe.construct(values(F, param), F.one)
+        return ([(label, g[label]) for label in recipe.line_labels],
+                [(label, g[renamed.get(label, label)]) for label in points])
+    return build
 
 
 TEN_E1_TABLE = {
@@ -174,23 +158,6 @@ TEN_E1_TABLE = {
     "M_3": ("W", "P_14", "P_26", "P_35"),
     "M_4": ("W", "P_15", "P_24", "P_36"),
 }
-
-
-def _ten_e2_lines(F: FieldSpec, param=None):
-    return [
-        ("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
-        ("L_4", (3, 1, 1)), ("L_5", (1, 3, 1)), ("L_6", (2, 2, 1)),
-        ("M_1", (1, 1, 1)), ("M_2", (2, 4, 0)), ("M_3", (0, 3, 1)), ("M_4", (2, 0, 1)),
-    ]
-
-
-def _ten_e2_points(F: FieldSpec, param=None):
-    return [
-        ("D", (1, 1, 1)), ("Z_1", (2, 3, 1)), ("Z_2", (4, 3, 2)), ("Z_3", (4, 3, 1)),
-        ("P_12", (0, 0, 1)), ("P_13", (0, 1, 0)), ("P_14", (0, 4, 1)),
-        ("P_15", (0, 4, 3)), ("P_23", (1, 0, 0)), ("P_25", (1, 0, 4)),
-        ("P_26", (1, 0, 3)), ("P_34", (4, 3, 0)), ("P_36", (3, 2, 0)),
-    ]
 
 
 # rows M_3/M_4 follow the combinatorial distribution table (and the printed
@@ -209,22 +176,17 @@ TEN_E2_TABLE = {
 }
 
 
-def _eleven_lines(F: FieldSpec, b: FieldElement):
-    one = F.one
-    b2 = b * b
-    b3 = b2 * b
-    return [
-        ("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
-        ("L_4", (1, 1, 1)), ("L_5", (-b, F.zero, one)), ("L_6", (b, one, b)),
-        ("L_7", (0, 1, 1)), ("L_8", (b2, b, one)), ("L_9", (b, -b, -one)),
-        ("L_10", (-b3, -one, -b)), ("L_11", (-b2, one - b, F.zero)),
-    ]
-
-
-def _eleven_points(F: FieldSpec, b: FieldElement):
+def _eleven_16(F: FieldSpec, b: FieldElement):
     one, zero = F.one, F.zero
     b2 = b * b
-    return [
+    b3 = b2 * b
+    lines = [
+        ("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
+        ("L_4", (1, 1, 1)), ("L_5", (-b, zero, one)), ("L_6", (b, one, b)),
+        ("L_7", (0, 1, 1)), ("L_8", (b2, b, one)), ("L_9", (b, -b, -one)),
+        ("L_10", (-b3, -one, -b)), ("L_11", (-b2, one - b, zero)),
+    ]
+    points = [
         ("P_1", (0, -1, 1)), ("P_2", (1, 0, 0)), ("P_3", (0, 1, 0)),
         ("P_4", (1, 0, -1)), ("P_5", (-one, b + 1, -b)), ("P_6", (-one, b, zero)),
         ("P_7", (one, zero, b)), ("P_8", (zero, -b, one)), ("P_9", (zero, -one, b)),
@@ -232,6 +194,7 @@ def _eleven_points(F: FieldSpec, b: FieldElement):
         ("P_13", (1, 1, -1)), ("P_14", (0, 0, 1)), ("P_15", (1, 1, 0)),
         ("P_16", (1, 1, -2)),
     ]
+    return lines, points
 
 
 ELEVEN_16_TABLE = {
@@ -257,59 +220,58 @@ def _register(cert: Certificate) -> None:
 
 
 _register(Certificate(
-    name="SMALL_3", description="three concurrent lines: one triple point",
-    tvec={3: 1}, eligibility=_any_field,
-    lines_fn=_small_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0)])))
+    name="SMALL_3", tvec={3: 1}, eligibility=_any_field,
+    build=_fixed_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0)])))
 
 _register(Certificate(
-    name="SMALL_4", description="three concurrent lines plus one: one triple point",
-    tvec={3: 1, 2: 3}, eligibility=_any_field,
-    lines_fn=_small_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])))
+    name="SMALL_4", tvec={3: 1, 2: 3}, eligibility=_any_field,
+    build=_fixed_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])))
 
 _register(Certificate(
-    name="SMALL_5", description="five lines with two triple points",
-    tvec={3: 2, 2: 4}, eligibility=_any_field,
-    lines_fn=_small_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])))
+    name="SMALL_5", tvec={3: 2, 2: 4}, eligibility=_any_field,
+    build=_fixed_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])))
 
 _register(Certificate(
-    name="SMALL_6", description="six lines with four triple points",
-    tvec={3: 4, 2: 3}, eligibility=_any_field,
-    lines_fn=_small_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
-                           (0, 1, -1)])))
+    name="SMALL_6", tvec={3: 4, 2: 3}, eligibility=_any_field,
+    build=_fixed_lines([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
+                        (0, 1, -1)])))
 
 _register(Certificate(
-    name="FANO", description="all seven lines of PG(2,2): every point is triple",
-    tvec={3: 7}, eligibility=_char2, lines_fn=_fano_lines))
+    name="FANO", tvec={3: 7}, eligibility=_characteristic(2),
+    build=_fixed_lines([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                        (0, 1, 1), (1, 1, 1)])))
 
 _register(Certificate(
-    name="DUAL_HESSE",
-    description="nine lines with twelve triple points (PG(2,3) minus a pencil)",
-    tvec={3: 12}, eligibility=_char3, lines_fn=_dual_hesse_lines))
+    name="DUAL_HESSE", tvec={3: 12}, eligibility=_characteristic(3),
+    build=lambda F, param: _arrangement_lines(dual_hesse_from_pg23(F))))
 
 _register(Certificate(
-    name="MOEBIUS_KANTOR",
-    description="eight lines with eight triple points (dual Hesse minus one line)",
-    tvec={3: 8, 2: 4}, eligibility=_char3, lines_fn=_moebius_kantor_lines))
+    name="MOEBIUS_KANTOR", tvec={3: 8, 2: 4}, eligibility=_characteristic(3),
+    build=lambda F, param: _arrangement_lines(remove_line(dual_hesse_from_pg23(F), 0))))
 
 _register(Certificate(
-    name="TEN_E1",
-    description="ten lines: one 4-fold point, twelve triple points, three doubles",
-    tvec={4: 1, 3: 12, 2: 3}, eligibility=_char2,
+    name="TEN_E1", tvec={4: 1, 3: 12, 2: 3}, eligibility=_characteristic(2),
     param=ParamSpec("a", (1, 1, 1), "a^2+a+1 = 0 (a nontrivial cube root of unity)"),
-    lines_fn=_ten_e1_lines, points_fn=_ten_e1_points, table=TEN_E1_TABLE))
+    build=_recipe_realization(
+        TEN_E1, lambda F, a: {"a": a, "b": a * a, "c": a * a, "d": a},
+        ("W", "P_12", "P_13", "P_14", "P_15", "P_24", "P_25", "P_26", "P_34", "P_35",
+         "P_36", "P_46", "P_56")),
+    table=TEN_E1_TABLE))
 
 _register(Certificate(
-    name="TEN_E2",
-    description="ten lines with thirteen triple points in characteristic 5",
-    tvec={3: 13, 2: 6}, eligibility=_char5,
-    lines_fn=_ten_e2_lines, points_fn=_ten_e2_points, table=TEN_E2_TABLE))
+    name="TEN_E2", tvec={3: 13, 2: 6}, eligibility=_characteristic(5),
+    # D is the point P_45 = (1:1:1) that L_4, L_5 and L_6 all pass through
+    build=_recipe_realization(
+        TEN_CASE_B, lambda F, param: {"a": F(3), "b": F(1), "c": F(2)},
+        ("D", "Z_1", "Z_2", "Z_3", "P_12", "P_13", "P_14", "P_15", "P_23", "P_25",
+         "P_26", "P_34", "P_36"),
+        renamed={"D": "P_45"}),
+    table=TEN_E2_TABLE))
 
 _register(Certificate(
-    name="ELEVEN_16",
-    description="eleven lines with sixteen triple points (golden-ratio parameter)",
-    tvec={3: 16, 2: 7}, eligibility=_odd_char,
+    name="ELEVEN_16", tvec={3: 16, 2: 7}, eligibility=_odd_char,
     param=ParamSpec("b", (-1, 1, 1), "b^2+b-1 = 0 (the golden ratio)"),
-    lines_fn=_eleven_lines, points_fn=_eleven_points, table=ELEVEN_16_TABLE))
+    build=_eleven_16, table=ELEVEN_16_TABLE))
 
 
 CERTIFICATE_NAMES = tuple(sorted(_CATALOGUE))
@@ -346,32 +308,20 @@ def _resolve_param(cert: Certificate, F: FieldSpec,
     return param
 
 
-def _arrangement(cert: Certificate, F: FieldSpec, value) -> Arrangement:
-    labelled = cert.lines_fn(F, value)
-    lines = [ProjLine(F, coords) for _, coords in labelled]
-    return Arrangement(F, lines, [label for label, _ in labelled])
-
-
-def _points(cert: Certificate, F: FieldSpec, value) -> list[tuple[str, ProjPoint]]:
-    if cert.points_fn is None:
-        return []
-    return [(label, ProjPoint(F, coords)) for label, coords in cert.points_fn(F, value)]
-
-
-def instantiate(cert: Certificate | str, F: FieldSpec,
-                param: Optional[FieldElement] = None) -> Arrangement:
-    """Concrete arrangement of a certificate over an eligible field."""
-    if isinstance(cert, str):
-        cert = builtin(cert)
-    return _arrangement(cert, F, _resolve_param(cert, F, param))
-
-
 def _instance(cert: Certificate | str, F: FieldSpec, param: Optional[FieldElement]):
     """The certificate, its resolved parameter, arrangement and labelled points."""
     if isinstance(cert, str):
         cert = builtin(cert)
     value = _resolve_param(cert, F, param)
-    return cert, value, _arrangement(cert, F, value), _points(cert, F, value)
+    lines, points = cert.build(F, value)
+    A = Arrangement(F, [ProjLine(F, c) for _, c in lines], [label for label, _ in lines])
+    return cert, value, A, [(label, ProjPoint(F, c)) for label, c in points]
+
+
+def instantiate(cert: Certificate | str, F: FieldSpec,
+                param: Optional[FieldElement] = None) -> Arrangement:
+    """Concrete arrangement of a certificate over an eligible field."""
+    return _instance(cert, F, param)[2]
 
 
 def verify(cert: Certificate | str, F: FieldSpec,

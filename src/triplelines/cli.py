@@ -58,15 +58,17 @@ class CommandResult:
     report: Optional[dict] = None
 
 
-def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
-    if text is None:
-        return None
+def _parse_ints(text: str) -> list[int]:
+    """Comma-separated integers, optionally in brackets: '1,0,1' or '[1,0,1]'."""
     return [int(c) for c in text.replace("[", "").replace("]", "").split(",")]
 
 
+def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
+    return None if text is None else _parse_ints(text)
+
+
 def _parse_element(F: FieldSpec, text: str) -> FieldElement:
-    coeffs = [int(c) for c in text.replace("[", "").replace("]", "").split(",")]
-    return element_from_json(F, coeffs, "--param coefficient")
+    return element_from_json(F, _parse_ints(text), "--param coefficient")
 
 
 def _write_json(path: Optional[str], report: dict) -> None:

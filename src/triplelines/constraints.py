@@ -28,6 +28,11 @@ Five scenarios are built in:
                  special double-point hubs is a configuration line.
   ELEVEN_CASE_II eleven lines, seventeen triple points, that join is not a
                  configuration line; frame x, y, z, x+y+z, ax+by+z.
+
+Two certificates (certificates.py) are realizations of these recipes: TEN_E1
+is the TEN_E1 construction at (a, b, c, d) = (a, a^2, a^2, a) with
+a^2+a+1 = 0 in characteristic 2, and TEN_E2 is the TEN_CASE_B construction at
+(a, b, c) = (3, 1, 2) in characteristic 5.
 """
 
 from __future__ import annotations
@@ -153,6 +158,11 @@ class _Recipe:
     nondegenerate: tuple
     lines: tuple
     identities: tuple = ()
+
+    @property
+    def line_labels(self) -> tuple:
+        """The frame lines L_1, L_2, ... followed by the constructed lines."""
+        return tuple(f"L_{i}" for i in range(1, len(self.frame) + 1)) + self.lines
 
     def construct(self, values: dict, one) -> dict:
         """Coordinate triples of every named line and point, in the ring of `one`.
@@ -412,15 +422,6 @@ def consequence_check(system: ConstraintSystem, consequences: Sequence[IntPolyno
 # realization
 # ---------------------------------------------------------------------------
 
-SCENARIO_TARGET_TVEC = {
-    TEN_E1: {4: 1, 3: 12, 2: 3},
-    TEN_CASE_A: {3: 13, 2: 6},
-    TEN_CASE_B: {3: 13, 2: 6},
-    ELEVEN_CASE_I: {3: 17, 2: 4},
-    ELEVEN_CASE_II: {3: 17, 2: 4},
-}
-
-
 def _require_raw_solution(system: ConstraintSystem, asg: dict, F: FieldSpec) -> None:
     for eq in system.equations:
         if not eq.evaluate(asg, F).is_zero():
@@ -447,5 +448,5 @@ def realize(name: str, asg: dict, F: FieldSpec) -> Arrangement:
     _require_raw_solution(build_system(name), asg, F)
     recipe = _RECIPES[name]
     g = recipe.construct(asg, F.one)
-    labels = [f"L_{i}" for i in range(1, len(recipe.frame) + 1)] + list(recipe.lines)
+    labels = recipe.line_labels
     return Arrangement(F, [ProjLine(F, g[label]) for label in labels], labels)

@@ -74,18 +74,19 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return r
 
 
+def _digits(n: int, p: int, k: int) -> list[int]:
+    """The k lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(k):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
 def _monic_polys(degree: int, p: int) -> Iterable[list[int]]:
     """All monic polynomials of the given degree over Z/p."""
-    if degree == 0:
-        yield [1]
-        return
-    count = p ** degree
-    for n in range(count):
-        coeffs, t = [], n
-        for _ in range(degree):
-            coeffs.append(t % p)
-            t //= p
-        yield coeffs + [1]
+    for n in range(p ** degree):
+        yield _digits(n, p, degree) + [1]
 
 
 def _poly_divides(f: Sequence[int], g: Sequence[int], p: int) -> bool:
@@ -143,13 +144,7 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.order
-        coeff_vectors = []
-        for n in range(q):
-            coeffs, t = [], n
-            for _ in range(k):
-                coeffs.append(t % p)
-                t //= p
-            coeff_vectors.append(tuple(coeffs))
+        coeff_vectors = [tuple(_digits(n, p, k)) for n in range(q)]
         self.coeff_table = coeff_vectors
         if k == 1:
             # a prime field's element index is its residue mod p

@@ -121,7 +121,7 @@ class SearchConfig:
 
 @dataclass
 class SearchReport:
-    best: int
+    best: Optional[int]     # None: no complete arrangement was entered
     witnesses: list
     nodes_visited: int
     exhaustive: bool
@@ -130,7 +130,8 @@ class SearchReport:
     notes: tuple
 
     def summary(self) -> str:
-        bits = [f"best={self.best}", f"nodes={self.nodes_visited}",
+        bits = [f"best={'none' if self.best is None else self.best}",
+                f"nodes={self.nodes_visited}",
                 f"exhaustive={self.exhaustive}",
                 "proven maximum" if self.best_is_maximum
                 else "best found, not a proven maximum"]
@@ -466,7 +467,6 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
             executor.shutdown(cancel_futures=True)
 
     target_stop = cfg.target is not None and best >= cfg.target
-    best = max(best, 0)                    # -1: no leaf visited, witness_ids is empty
     if alt is not None:
         notes.append(f"pencil/near-pencil families (not containing four "
                      f"general-position lines) reach at most {alt} "
@@ -497,7 +497,8 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     if target_stop:
         notes.append("stopped early after reaching the target")
     notes.append("per-field evidence: results hold for this ground field only")
-    return SearchReport(best, witnesses, nodes, exhaustive,
+    # best -1: no leaf was entered and no family value folded in
+    return SearchReport(best if best >= 0 else None, witnesses, nodes, exhaustive,
                         exhaustive and cfg.target is None, target_reached, tuple(notes))
 
 

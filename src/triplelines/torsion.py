@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 from .bounds import schoenheim_u3
 from .errors import NonPrime, UnsupportedPrime
 from .field import is_prime
+from .incidence import check_identity
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def torsion_dual_counts(model: TorsionModel | int) -> TorsionDualCounts:
         raise RuntimeError("nonzero torsion points see different line counts")
     through_nonzero = nonzero_counts.pop()
 
-    identity = comb(q, 2) == 3 * t3 + t2
+    identity = check_identity(q, {3: t3, 2: t2})
     u3 = schoenheim_u3(q)
     return TorsionDualCounts(
         p=p, lines=q, t3=t3, t2=t2,

@@ -12,11 +12,18 @@ from triplelines.certificates import (
     instantiate,
     verify,
 )
-from triplelines.constraints import default_battery
+from triplelines.constraints import (
+    TEN_CASE_B,
+    TEN_E1,
+    build_system,
+    default_battery,
+    realize,
+    solve_over,
+)
 from triplelines.errors import IneligibleField, UnknownName
 from triplelines.field import make_field, roots_of
 from triplelines.incidence import abstract, isomorphic, profile, remove_line
-from triplelines.projective import ProjPoint
+from triplelines.projective import ProjLine, ProjPoint
 
 
 def test_catalogue_contents():
@@ -179,7 +186,7 @@ def test_expected_points_match_table_multiplicities():
                     ("ELEVEN_16", make_field(11))]:
         cert = builtin(name)
         value = roots_of(cert.param.poly, F)[0] if cert.param else None
-        pts = [(label, ProjPoint(F, c)) for label, c in cert.points_fn(F, value)]
+        pts = [(label, ProjPoint(F, c)) for label, c in cert.build(F, value)[1]]
         tab = certificate_table(name, F)
         sums = {label: sum(row[j] for row in tab.cells)
                 for j, label in enumerate(tab.col_labels)}
@@ -208,3 +215,81 @@ def test_table_cells_match_published_layout():
     # the corrected cells: M_3 carries P_23, M_4 carries P_26
     assert tab2.cell("M_3", "P_23") and not tab2.cell("M_3", "P_26")
     assert tab2.cell("M_4", "P_26") and not tab2.cell("M_4", "P_23")
+
+
+# ---------------------------------------------------------------------------
+# TEN_E1 and TEN_E2 against the coordinates printed in the source paper
+# ---------------------------------------------------------------------------
+
+def _paper_ten_e1(F, a):
+    """The printed TEN_E1 lines and points at a root a of a^2+a+1."""
+    a2 = a * a
+    one, zero = F.one, F.zero
+    lines = [
+        ("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
+        ("L_4", (1, 1, 1)), ("L_5", (a, a2, one)), ("L_6", (a2, a, one)),
+        ("M_1", (1, 1, 0)), ("M_2", (a, zero, one)),
+        ("M_3", (a2, one, one)), ("M_4", (one, a2, one)),
+    ]
+    points = [
+        ("W", (one, one, a)),
+        ("P_12", (0, 0, 1)), ("P_13", (0, 1, 0)), ("P_14", (0, 1, 1)),
+        ("P_15", (zero, one, a2)), ("P_24", (1, 0, 1)), ("P_25", (one, zero, a)),
+        ("P_26", (one, zero, a2)), ("P_34", (1, 1, 0)), ("P_35", (a, one, zero)),
+        ("P_36", (one, a, zero)), ("P_46", (a2, a, one)), ("P_56", (1, 1, 1)),
+    ]
+    return lines, points
+
+
+PAPER_TEN_E2 = (
+    [("L_1", (1, 0, 0)), ("L_2", (0, 1, 0)), ("L_3", (0, 0, 1)),
+     ("L_4", (3, 1, 1)), ("L_5", (1, 3, 1)), ("L_6", (2, 2, 1)),
+     ("M_1", (1, 1, 1)), ("M_2", (2, 4, 0)), ("M_3", (0, 3, 1)), ("M_4", (2, 0, 1))],
+    [("D", (1, 1, 1)), ("Z_1", (2, 3, 1)), ("Z_2", (4, 3, 2)), ("Z_3", (4, 3, 1)),
+     ("P_12", (0, 0, 1)), ("P_13", (0, 1, 0)), ("P_14", (0, 4, 1)),
+     ("P_15", (0, 4, 3)), ("P_23", (1, 0, 0)), ("P_25", (1, 0, 4)),
+     ("P_26", (1, 0, 3)), ("P_34", (4, 3, 0)), ("P_36", (3, 2, 0))],
+)
+
+
+def _printed(F, labelled, kind=ProjLine):
+    return [(label, kind(F, c)) for label, c in labelled]
+
+
+def _assert_matches_paper(name, F, param, paper):
+    """The certificate's lines and points equal the printed ones, label by
+    label and in order, and the certificate verifies."""
+    lines, points = paper
+    A = instantiate(name, F, param)
+    assert list(zip(A.labels, A.lines)) == _printed(F, lines)
+    assert _printed(F, builtin(name).build(F, param)[1], ProjPoint) == _printed(
+        F, points, ProjPoint)
+    assert verify(name, F, param).ok
+
+
+@pytest.mark.parametrize("F", [make_field(2, 2), make_field(2, 4)], ids=repr)
+def test_ten_e1_matches_the_papers_coordinates(F):
+    roots = roots_of((1, 1, 1), F)
+    assert len(roots) == 2
+    for a in roots:
+        _assert_matches_paper("TEN_E1", F, a, _paper_ten_e1(F, a))
+    # the TEN_E1 system's solutions are exactly (a, a^2, a^2, a) at the
+    # roots, and each realizes to the printed lines
+    sols = solve_over(build_system(TEN_E1), F)
+    assert len(sols) == len(roots)
+    for asg in sols:
+        a = asg["a"]
+        assert a in roots and [asg[v] for v in "bcd"] == [a * a, a * a, a]
+        A = realize(TEN_E1, asg, F)
+        assert list(zip(A.labels, A.lines)) == _printed(F, _paper_ten_e1(F, a)[0])
+
+
+@pytest.mark.parametrize("F", [make_field(5), make_field(5, 2)], ids=repr)
+def test_ten_e2_matches_the_papers_coordinates(F):
+    _assert_matches_paper("TEN_E2", F, None, PAPER_TEN_E2)
+    # (3, 1, 2) is the only solution of TEN_CASE_B in characteristic 5, and
+    # it realizes to the printed lines
+    sols = solve_over(build_system(TEN_CASE_B), F)
+    assert sols == [{"a": F(3), "b": F(1), "c": F(2)}]
+    A = realize(TEN_CASE_B, sols[0], F)
+    assert list(zip(A.labels, A.lines)) == _printed(F, PAPER_TEN_E2[0])

@@ -150,6 +150,23 @@ def test_search_cli_gf5_seventeen_unreachable():
     assert res.report["exhaustive"] and not res.report["target_reached"]
 
 
+@pytest.mark.parametrize("q, best", [("2^3", None), ("7", 16)])
+def test_refuted_target_reports_null_best_when_no_arrangement_was_entered(tmp_path, q,
+                                                                          best):
+    # over GF(8) the pruned search cuts every partial arrangement before its
+    # last line, so no best exists; over GF(7) it enters 16-point arrangements
+    out = tmp_path / "search.json"
+    res = run(["search", "--field", q, "--lines", "11", "--target", "17",
+               "--out", str(out)])
+    assert res.exit_code == 1
+    report = json.loads(out.read_text())
+    _validate(report, "search_report.schema.json")
+    assert report["best"] == best
+    assert report["exhaustive"] and not report["target_reached"]
+    assert bool(report["witnesses"]) == (best is not None)
+    assert f"best={'none' if best is None else best}," in res.text
+
+
 def test_target_search_does_not_claim_a_maximum(tmp_path):
     # pruning against an unreachable target proves nothing about the maximum
     out = tmp_path / "search.json"

@@ -103,7 +103,9 @@ def test_eleven_seventeen_unreachable_gf2_gf3(gf2, gf3):
     assert any("has only 7 lines" in n for n in rep2.notes)
     rep3 = max_triple_search(SearchConfig(field=gf3, s=11, target=17,
                                           normalize_frame=False))
-    assert not rep3.target_reached and rep3.exhaustive and rep3.best <= 16
+    assert not rep3.target_reached and rep3.exhaustive
+    # every partial arrangement is cut before its eleventh line: no best exists
+    assert rep3.best is None and not rep3.witnesses
 
 
 def test_reports_flag_per_field_evidence(gf3):
