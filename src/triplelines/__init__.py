@@ -64,7 +64,7 @@ from .search import SearchConfig, SearchReport, dual_search_seed, max_triple_sea
 from .torsion import (
     TorsionDualCounts,
     TorsionModel,
-    linearity_check,
+    torsion_dual,
     torsion_dual_counts,
     torsion_model,
 )

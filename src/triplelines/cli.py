@@ -46,6 +46,7 @@ from .incidence import (
     profile,
     save_arrangement,
     table as incidence_table,
+    tvec_to_json,
 )
 from .search import SearchConfig, dual_search_seed, max_triple_search
 from .torsion import torsion_dual_counts, torsion_model
@@ -192,8 +193,8 @@ def _cmd_verify(args) -> CommandResult:
         "field": field_to_json(F),
         "param": element_to_json(rep.param) if rep.param is not None else None,
         "ok": rep.ok,
-        "tvec_expected": {str(k): v for k, v in rep.tvec_expected.items()},
-        "tvec_actual": {str(k): v for k, v in rep.tvec_actual.items()},
+        "tvec_expected": tvec_to_json(rep.tvec_expected),
+        "tvec_actual": tvec_to_json(rep.tvec_actual),
         "mismatches": list(rep.mismatches),
     }
     _write_json(args.json, report)
@@ -331,10 +332,10 @@ def _cmd_profile(args) -> CommandResult:
     A = load_arrangement(args.file)
     prof = profile(A)
     par = parity_check(A, prof)
+    identity = check_identity(A.s, prof.tvec)
     lines = [f"arrangement of s={A.s} lines over {A.field!r}",
              f"t-vector: {prof.tvec}",
-             f"pair-count identity C(s,2) = sum t_k C(k,2): "
-             f"{check_identity(A.s, prof.tvec)}",
+             f"pair-count identity C(s,2) = sum t_k C(k,2): {identity}",
              f"per-line identity s-1 = sum (m_i - 1): "
              f"{'all lines pass' if par.all_pass else 'FAILED'}"]
     if par.lines_with_only_triples:
@@ -348,8 +349,8 @@ def _cmd_profile(args) -> CommandResult:
     report = {
         "field": field_to_json(A.field),
         "s": A.s,
-        "tvec": {str(k): v for k, v in prof.tvec.items()},
-        "identity_holds": check_identity(A.s, prof.tvec),
+        "tvec": tvec_to_json(prof.tvec),
+        "identity_holds": identity,
         "parity_all_pass": par.all_pass,
         "lines_with_only_triple_points": list(par.lines_with_only_triples),
     }

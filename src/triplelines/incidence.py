@@ -234,8 +234,11 @@ class AbstractIncidence:
                 pair[u][v] = pair[v][u] = k
             for u in b:
                 sizes[u].append(len(b))
+        # in place, so the size lists and their tuples never all exist at once
+        for u, s in enumerate(sizes):
+            sizes[u] = tuple(sorted(s))
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "signature", [tuple(sorted(s)) for s in sizes])
+        object.__setattr__(self, "signature", sizes)
 
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:
@@ -337,6 +340,11 @@ def field_to_json(F: FieldSpec) -> dict:
     if F.k > 1:
         d["modulus"] = list(F.modulus)
     return d
+
+
+def tvec_to_json(tvec: dict) -> dict:
+    """A t-vector with its multiplicities k as string keys."""
+    return {str(k): v for k, v in tvec.items()}
 
 
 def field_from_json(d: dict) -> FieldSpec:

@@ -410,7 +410,7 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
         notes.append(f"PG(2,{cfg.field.order}) has only {n_lines} lines; "
                      f"no arrangement of s={cfg.s} exists")
         notes.append("per-field evidence: results hold for this ground field only")
-        return SearchReport(0, [], 0, True, cfg.target is None, False, tuple(notes))
+        return SearchReport(None, [], 0, True, False, False, tuple(notes))
 
     use_frame = cfg.normalize_frame and cfg.s >= 5
     if cfg.normalize_frame and cfg.s < 5:

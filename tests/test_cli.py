@@ -167,6 +167,21 @@ def test_refuted_target_reports_null_best_when_no_arrangement_was_entered(tmp_pa
     assert f"best={'none' if best is None else best}," in res.text
 
 
+@pytest.mark.parametrize("target, code", [(None, 0), (1, 1)])
+def test_more_lines_than_the_plane_reports_null_best(tmp_path, target, code):
+    # PG(2,2) has 7 lines: no arrangement of 9 exists, so nothing is a maximum
+    out = tmp_path / "search.json"
+    argv = ["search", "--field", "2", "--lines", "9", "--out", str(out)]
+    res = run(argv + ([] if target is None else ["--target", str(target)]))
+    assert res.exit_code == code
+    report = json.loads(out.read_text())
+    _validate(report, "search_report.schema.json")
+    assert report["best"] is None and not report["best_is_maximum"]
+    assert not report["witnesses"] and not report["target_reached"]
+    assert any("has only 7 lines" in n for n in report["notes"])
+    assert "best=none," in res.text and "proven maximum," not in res.text
+
+
 def test_target_search_does_not_claim_a_maximum(tmp_path):
     # pruning against an unreachable target proves nothing about the maximum
     out = tmp_path / "search.json"

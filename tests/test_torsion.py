@@ -1,16 +1,17 @@
 """Torsion configurations: enumeration versus closed forms, duality, linearity."""
 
-import dataclasses
 import itertools
 
 import pytest
 
 import triplelines.cli
 import triplelines.torsion
+from triplelines.certificates import dual_hesse_from_pg23
 from triplelines.errors import NonPrime, UnsupportedPrime
+from triplelines.incidence import abstract, isomorphic
 from triplelines.torsion import (
     TorsionModel,
-    linearity_check,
+    torsion_dual,
     torsion_dual_counts,
     torsion_model,
 )
@@ -31,7 +32,7 @@ def test_p3_special_case():
     assert len(m.secant_blocks) == 12
     assert len(m.tangent_pairs) == 0
     assert m.special_case
-    assert linearity_check(m)
+    torsion_dual(m)
 
 
 def test_p7_counts_match_formulas():
@@ -49,19 +50,27 @@ def test_rejects_non_odd_primes():
 
 
 def test_linearity_p5_and_p7():
-    assert linearity_check(torsion_model(5))
-    assert linearity_check(torsion_model(7))
+    for p in (5, 7):
+        m = torsion_model(p)
+        dual = torsion_dual(m)
+        assert dual.num_lines == p * p and len(dual.blocks) == m.num_lines
+
+
+def test_p3_dual_is_the_dual_hesse_structure():
+    assert isomorphic(torsion_dual(torsion_model(3)), abstract(dual_hesse_from_pg23()))
 
 
 def test_linearity_detects_corruption():
     m = torsion_model(5)
-    extra = frozenset({(0, 0), (0, 1), (0, 4)})     # already covered pairs
+    extra = frozenset({0, 1, 4})              # already covered pairs
     corrupted = TorsionModel(m.p, m.points, m.secant_blocks + (extra,),
                              m.tangent_pairs, m.special_case)
-    assert not linearity_check(corrupted)
+    with pytest.raises(RuntimeError):
+        torsion_dual(corrupted)
     truncated = TorsionModel(m.p, m.points, m.secant_blocks[:-1],
                              m.tangent_pairs, m.special_case)
-    assert not linearity_check(truncated)
+    with pytest.raises(RuntimeError):
+        torsion_dual(truncated)
 
 
 def test_linearity_rejects_a_pair_covered_many_times():
@@ -69,20 +78,22 @@ def test_linearity_rejects_a_pair_covered_many_times():
     extra = m.secant_blocks[0]
     repeated = TorsionModel(m.p, m.points, m.secant_blocks + (extra,) * 300,
                             m.tangent_pairs, m.special_case)
-    assert not linearity_check(repeated)
+    with pytest.raises(RuntimeError):
+        torsion_dual(repeated)
 
 
 def test_linearity_rejects_a_point_outside_the_group():
     m = torsion_model(5)
-    stray = TorsionModel(m.p, m.points, m.secant_blocks[:-1] + (frozenset({(0, 5)}),),
+    stray = TorsionModel(m.p, m.points, m.secant_blocks[:-1] + (frozenset({0, 25}),),
                          m.tangent_pairs, m.special_case)
-    assert not linearity_check(stray)
+    with pytest.raises(RuntimeError):
+        torsion_dual(stray)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_model_matches_deduplicated_enumeration(p):
-    """Blocks from every point pair, deduplicated as sets and sorted, are the
-    blocks the model generates once each."""
+    """Blocks from every point pair, deduplicated as sets, mapped to the
+    positions x*p + y and sorted, are the blocks the model generates once each."""
     points = list(itertools.product(range(p), repeat=2))
     blocks = set()
     for P, Q in itertools.combinations(points, 2):
@@ -92,10 +103,14 @@ def test_model_matches_deduplicated_enumeration(p):
     pairs = set()
     if p >= 5:
         pairs = {frozenset((X, ((-2 * X[0]) % p, (-2 * X[1]) % p))) for X in points[1:]}
+
+    def positions(groups):
+        return sorted((frozenset(x * p + y for x, y in g) for g in groups), key=sorted)
+
     m = torsion_model(p)
     assert m.points == tuple(points)
-    assert m.secant_blocks == tuple(sorted(blocks, key=sorted))
-    assert m.tangent_pairs == tuple(sorted(pairs, key=sorted))
+    assert m.secant_blocks == tuple(positions(blocks))
+    assert m.tangent_pairs == tuple(positions(pairs))
 
 
 def test_dual_counts_p5():
@@ -146,13 +161,10 @@ def test_per_point_counts_by_enumeration():
     for p in (5, 7):
         m = torsion_model(p)
         q = p * p
-        zero = (0, 0)
-        through = {X: 0 for X in m.points}
-        for blk in m.secant_blocks:
-            for X in blk:
-                through[X] += 1
-        for pair in m.tangent_pairs:
-            for X in pair:
+        zero = 0
+        through = {x * p + y: 0 for x, y in m.points}
+        for group in m.secant_blocks + m.tangent_pairs:
+            for X in group:
                 through[X] += 1
         assert through[zero] == (q - 1) // 2
         assert {v for X, v in through.items() if X != zero} == {(q + 1) // 2}
