@@ -37,6 +37,7 @@ a^2+a+1 = 0 in characteristic 2, and TEN_E2 is the TEN_CASE_B construction at
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from dataclasses import dataclass
@@ -129,12 +130,19 @@ _NONDEGENERATE_ABCD = ((("P_23", "L_5"),), (("P_13", "L_5"),), (("P_23", "L_6"),
                        (("P_13", "L_6"),), (("P_45", "L_6"),))
 
 
-def _coefficient(template: str, values: dict, one):
-    """A template such as '0', 'a' or '-a-1' evaluated in the ring of `one`."""
+def _terms(template: str) -> tuple:
+    """A template such as '0', 'a' or '-a-1' as its signed terms: pairs
+    (negated, variable name or integer)."""
+    return tuple((sign == "-", term if term.isalpha() else int(term))
+                 for sign, term in re.findall(r"([+-]?)(\w+)", template))
+
+
+def _coefficient(terms: tuple, values: dict, one):
+    """Parsed template terms evaluated in the ring of `one`."""
     total = one - one
-    for sign, term in re.findall(r"([+-]?)(\w+)", template):
-        value = values[term] if term.isalpha() else one * int(term)
-        total = total - value if sign == "-" else total + value
+    for negated, term in terms:
+        value = values[term] if isinstance(term, str) else one * term
+        total = total - value if negated else total + value
     return total
 
 
@@ -149,7 +157,8 @@ class _Recipe:
     pairs (X, Y) of which at least one must have X off Y; in order, the groups
     are the scenario's inequations. Identities are incidences that hold in the
     frame for every value of the variables. `lines` are the constructed lines
-    that complete the arrangement.
+    that complete the arrangement. The frame templates are parsed once, into
+    `frame_terms`, and the meets P_ij lead `products`, the steps in order.
     """
 
     frame: tuple
@@ -158,6 +167,16 @@ class _Recipe:
     nondegenerate: tuple
     lines: tuple
     identities: tuple = ()
+    frame_terms: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    products: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.frame)
+        meets = tuple((f"P_{i}{j}", f"L_{i}", f"L_{j}")
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        object.__setattr__(self, "frame_terms",
+                           tuple(tuple(map(_terms, row.split())) for row in self.frame))
+        object.__setattr__(self, "products", meets + self.steps)
 
     @property
     def line_labels(self) -> tuple:
@@ -170,12 +189,9 @@ class _Recipe:
         Raises IdenticalArguments when a cross product vanishes, that is when
         a step joins two equal points or meets two equal lines.
         """
-        g = {f"L_{i}": tuple(_coefficient(t, values, one) for t in row.split())
-             for i, row in enumerate(self.frame, 1)}
-        n = len(self.frame)
-        meets = tuple((f"P_{i}{j}", f"L_{i}", f"L_{j}")
-                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        for name, u, v in meets + self.steps:
+        g = {f"L_{i}": tuple(_coefficient(t, values, one) for t in row)
+             for i, row in enumerate(self.frame_terms, 1)}
+        for name, u, v in self.products:
             w = cross(g[u], g[v])
             if all(c.is_zero() for c in w):
                 raise IdenticalArguments(f"{name}: {u} and {v} coincide")

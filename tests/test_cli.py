@@ -165,6 +165,8 @@ def test_refuted_target_reports_null_best_when_no_arrangement_was_entered(tmp_pa
     assert report["exhaustive"] and not report["target_reached"]
     assert bool(report["witnesses"]) == (best is not None)
     assert f"best={'none' if best is None else best}," in res.text
+    assert ("no arrangement entered" in res.text) == (best is None)
+    assert ("best found, not a proven maximum" in res.text) == (best is not None)
 
 
 @pytest.mark.parametrize("target, code", [(None, 0), (1, 1)])
@@ -180,6 +182,7 @@ def test_more_lines_than_the_plane_reports_null_best(tmp_path, target, code):
     assert not report["witnesses"] and not report["target_reached"]
     assert any("has only 7 lines" in n for n in report["notes"])
     assert "best=none," in res.text and "proven maximum," not in res.text
+    assert "no arrangement entered" in res.text and "best found" not in res.text
 
 
 def test_target_search_does_not_claim_a_maximum(tmp_path):

@@ -1,7 +1,12 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import triplelines
 
@@ -46,3 +51,16 @@ def test_no_hand_raised_assertion_errors_in_package():
              if isinstance(node, ast.Raise) and node.exc is not None
              and _raised_name(node) == "AssertionError"]
     assert found == []
+
+
+@pytest.mark.parametrize("module", ["triplelines", "triplelines.cli"])
+def test_import_leaves_the_process_pool_unloaded(module):
+    # a search imports the pool only when it starts workers, so runs that
+    # never do carry none of its memory
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(triplelines.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
