@@ -7,8 +7,8 @@ when s is congruent to 5 mod 6. All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
 def eps(s: int) -> int:
@@ -33,8 +33,7 @@ def schoenheim_u3(s: int) -> int:
     return (((s - 1) // 2) * s) // 3 - eps(s)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     s: int
     naive: int
     u3: int

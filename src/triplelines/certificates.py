@@ -32,8 +32,7 @@ Certificate catalogue:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .constraints import _RECIPES, TEN_CASE_B, TEN_E1
 from .errors import IneligibleField, UnknownName
@@ -48,15 +47,13 @@ from .incidence import (
 from .projective import ProjLine, ProjPoint, enumerate_lines
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     name: str
     poly: tuple            # integer coefficients, low degree first
     condition: str         # human-readable defining equation
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     name: str
     tvec: dict
     eligibility: Callable[[FieldSpec], Optional[str]]
@@ -66,8 +63,7 @@ class Certificate:
     table: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     certificate: str
     field: FieldSpec
     param: Optional[FieldElement]

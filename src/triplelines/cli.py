@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import bound_table
@@ -52,8 +51,7 @@ from .search import SearchConfig, dual_search_seed, max_triple_search
 from .torsion import torsion_dual_counts, torsion_model
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     text: str
     report: Optional[dict] = None
@@ -410,6 +408,8 @@ def run(argv: list[str]) -> CommandResult:
         return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:
         return CommandResult(2, f"error: no such file: {exc.filename}")
+    except OSError as exc:
+        return CommandResult(2, f"error: cannot open {exc.filename}: {exc.strerror}")
     except (TripleLinesError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return CommandResult(2, f"error: {exc}")
 

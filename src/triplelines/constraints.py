@@ -37,11 +37,9 @@ a^2+a+1 = 0 in characteristic 2, and TEN_E2 is the TEN_CASE_B construction at
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import IdenticalArguments, UnsolvedAssignment
 from .field import FieldElement, FieldSpec, make_field
@@ -79,8 +77,7 @@ def default_battery() -> list[FieldSpec]:
     return out
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Equations (= 0), inequations (not all of a group = 0), post-checks."""
 
     name: str
@@ -95,15 +92,13 @@ class ConstraintSystem:
         return all(fn(asg, F) for _, fn in self.post_checks)
 
 
-@dataclass(frozen=True)
-class ConsequenceViolation:
+class ConsequenceViolation(NamedTuple):
     field: FieldSpec
     assignment: dict
     consequence: IntPolynomial
 
 
-@dataclass(frozen=True)
-class ConsequenceReport:
+class ConsequenceReport(NamedTuple):
     system: str
     mode: str
     checked: int
@@ -146,7 +141,6 @@ def _coefficient(terms: tuple, values: dict, one):
     return total
 
 
-@dataclass(frozen=True)
 class _Recipe:
     """A scenario's construction from its frame, valid over any ring.
 
@@ -161,22 +155,18 @@ class _Recipe:
     `frame_terms`, and the meets P_ij lead `products`, the steps in order.
     """
 
-    frame: tuple
-    steps: tuple
-    conditions: tuple
-    nondegenerate: tuple
-    lines: tuple
-    identities: tuple = ()
-    frame_terms: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    products: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("frame", "steps", "conditions", "nondegenerate", "lines", "identities",
+                 "frame_terms", "products")
 
-    def __post_init__(self):
-        n = len(self.frame)
+    def __init__(self, frame: tuple, steps: tuple, conditions: tuple, nondegenerate: tuple,
+                 lines: tuple, identities: tuple = ()):
+        self.frame, self.steps, self.conditions = frame, steps, conditions
+        self.nondegenerate, self.lines, self.identities = nondegenerate, lines, identities
+        n = len(frame)
         meets = tuple((f"P_{i}{j}", f"L_{i}", f"L_{j}")
                       for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        object.__setattr__(self, "frame_terms",
-                           tuple(tuple(map(_terms, row.split())) for row in self.frame))
-        object.__setattr__(self, "products", meets + self.steps)
+        self.frame_terms = tuple(tuple(map(_terms, row.split())) for row in frame)
+        self.products = meets + steps
 
     @property
     def line_labels(self) -> tuple:

@@ -13,14 +13,12 @@ format used by the CLI.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
 from .field import FieldElement, FieldSpec, make_field
@@ -59,8 +57,7 @@ class Arrangement:
         return f"Arrangement({self.field!r}, s={self.s})"
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(NamedTuple):
     """The lines through each point where at least two of them meet.
 
     Points are listed in ascending order and t-vector keys k ascending, so
@@ -110,16 +107,14 @@ def check_identity(s: int, tvec: dict) -> bool:
     return comb(s, 2) == sum(t * comb(k, 2) for k, t in tvec.items())
 
 
-@dataclass(frozen=True)
-class LineParity:
+class LineParity(NamedTuple):
     label: str
     point_multiplicities: tuple
     identity_holds: bool       # s - 1 == sum (m_i - 1) over points on the line
     only_triple_points: bool
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     s: int
     rows: tuple
     all_pass: bool
@@ -146,8 +141,7 @@ def parity_check(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> 
                         tuple(only_triples))
 
 
-@dataclass(frozen=True)
-class IncidenceTable:
+class IncidenceTable(NamedTuple):
     row_labels: tuple
     col_labels: tuple
     cells: tuple  # tuple of tuples of bool
@@ -202,7 +196,6 @@ def remove_line(A: Arrangement, index: int) -> Arrangement:
 # field-free incidence structure and isomorphism testing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AbstractIncidence:
     """Blocks of line indices, one per intersection point of multiplicity >= 2.
 
@@ -215,17 +208,15 @@ class AbstractIncidence:
     reads.
     """
 
-    num_lines: int
-    blocks: tuple  # tuple of strictly increasing tuples of line indices
-    pair: list = dataclasses.field(init=False, repr=False, compare=False)
-    signature: list = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("num_lines", "blocks", "pair", "signature")
 
-    def __post_init__(self):
-        n = self.num_lines
+    def __init__(self, num_lines: int, blocks: tuple):
+        self.num_lines = n = num_lines
+        self.blocks = blocks  # tuple of strictly increasing tuples of line indices
         # a row of C ints holds no int objects for block indices above 256
         pair = [array("i", [-1]) * n for _ in range(n)]
         sizes = [[] for _ in range(n)]
-        for k, b in enumerate(self.blocks):
+        for k, b in enumerate(blocks):
             # checked before the matrix is touched: an index of -1 would wrap around it
             if type(b) is not tuple or any(u >= v for u, v in zip(b, b[1:])):
                 raise ValueError(f"block {b!r} is not a strictly increasing tuple")
@@ -243,8 +234,8 @@ class AbstractIncidence:
         # in place, so the size lists and their tuples never all exist at once
         for u, s in enumerate(sizes):
             sizes[u] = tuple(sorted(s))
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "signature", sizes)
+        self.pair = pair
+        self.signature = sizes
 
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:

@@ -58,12 +58,11 @@ evidence only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import lshift, or_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import schoenheim_u3
 from .field import FieldSpec
@@ -95,8 +94,7 @@ class Plane:
         return cls._cache[key]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
     field: FieldSpec
     s: int
     target: Optional[int] = None
@@ -105,7 +103,17 @@ class SearchConfig:
     max_nodes: int = 10 ** 9
     threads: int = 1
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchConfigFields):
+    """An immutable, hashable search configuration, checked on construction.
+
+    Copies made with _replace and unpickled copies are checked too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.metric not in ("exact3", "atleast3"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.s < 1:
@@ -116,10 +124,15 @@ class SearchConfig:
             raise ValueError("threads must be positive")
         if self.max_nodes < 0:
             raise ValueError("max_nodes must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     best: Optional[int]     # None: no complete arrangement was entered
     witnesses: list
     nodes_visited: int

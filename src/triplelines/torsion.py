@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import schoenheim_u3
 from .errors import NonPrime, UnsupportedPrime
@@ -21,8 +21,7 @@ from .field import is_prime
 from .incidence import AbstractIncidence, check_identity
 
 
-@dataclass(frozen=True)
-class TorsionModel:
+class TorsionModel(NamedTuple):
     """The group (Z/p)^2 with its blocks, written over point positions.
 
     Secant blocks are tuples (P, Q, R) with P < Q < R and tangent pairs are
@@ -87,8 +86,7 @@ def torsion_dual(model: TorsionModel) -> AbstractIncidence:
     return dual
 
 
-@dataclass(frozen=True)
-class TorsionDualCounts:
+class TorsionDualCounts(NamedTuple):
     p: int
     lines: int                     # p^2 dual lines, one per torsion point
     t3: int                        # secant blocks

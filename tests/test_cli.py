@@ -285,6 +285,15 @@ def test_profile_missing_file_names_it():
     assert "no_such_file.json" in res.text
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--max", "3", "--json"], ["profile"]])
+def test_unopenable_path_exits_2_with_its_name(tmp_path, argv):
+    # a directory where a file is read or written raises an OSError other
+    # than FileNotFoundError; it is an input error, not a failed target (exit 1)
+    res = run(argv + [str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.text.startswith(f"error: cannot open {tmp_path}: ") and "\n" not in res.text
+
+
 def test_export_profile_round_trip(tmp_path):
     out = tmp_path / "e16.json"
     assert run(["export", "ELEVEN_16", "--field", "11", "--param", "3",

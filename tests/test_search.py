@@ -285,6 +285,20 @@ def test_maxima_are_target_boundaries(gf2, gf3, gf4, gf5):
                 assert not miss.target_reached and miss.exhaustive, (F, s, metric)
 
 
+def test_maxima_obey_the_line_deletion_lemma(gf2, gf3, gf4, gf5):
+    # some line of s lines with t triple points carries at most floor(3t/s)
+    # of them; deleting it leaves s - 1 lines with at least t - floor(3t/s)
+    for F in (gf2, gf3, gf4, gf5):
+        for metric in ("exact3", "atleast3"):
+            best = {}
+            for s in range(4, min(9, len(Plane.of(F).lines)) + 1):
+                rep = max_triple_search(SearchConfig(field=F, s=s, metric=metric))
+                assert rep.best_is_maximum, (F, s, metric)
+                best[s] = rep.best
+                if s - 1 in best:
+                    assert best[s] - 3 * best[s] // s <= best[s - 1], (F, s, metric)
+
+
 def test_pool_respects_node_budget(gf5):
     par = max_triple_search(SearchConfig(field=gf5, s=8, max_nodes=50, threads=2))
     assert par.nodes_visited <= 51 and not par.exhaustive

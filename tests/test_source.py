@@ -56,10 +56,11 @@ def test_no_hand_raised_assertion_errors_in_package():
 @pytest.mark.parametrize("module", ["triplelines", "triplelines.cli"])
 def test_import_leaves_the_process_pool_unloaded(module):
     # a search imports the pool only when it starts workers, so runs that
-    # never do carry none of its memory
+    # never do carry none of its memory; records are named tuples, so no run
+    # pays for building dataclasses or for the inspect module they load
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))")
     src = str(Path(triplelines.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
