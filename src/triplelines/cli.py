@@ -305,25 +305,29 @@ def _cmd_torsion(args) -> CommandResult:
         "lines": model.num_lines,
         "special_case": model.special_case,
     }
+    code = 0
     if args.dual:
         counts = torsion_dual_counts(model)
+        closed_forms = counts.closed_forms_hold()
+        if not (counts.identity_holds and closed_forms):
+            code = 1
         lines.append(
             f"dual: {counts.lines} lines, t3={counts.t3}, t2={counts.t2}; "
             f"{counts.points_on_dual_of_zero} points on the dual of 0, "
             f"{counts.points_on_dual_of_nonzero} on every other dual line; "
             f"U3({counts.lines})={counts.u3}, gap={counts.gap}")
         lines.append(f"pair-count identity holds: {counts.identity_holds}; "
-                     f"closed forms hold: {counts.closed_forms_hold()}")
+                     f"closed forms hold: {closed_forms}")
         report["dual"] = {
             "lines": counts.lines, "t3": counts.t3, "t2": counts.t2,
             "points_on_dual_of_zero": counts.points_on_dual_of_zero,
             "points_on_dual_of_nonzero": counts.points_on_dual_of_nonzero,
             "u3": counts.u3, "gap": counts.gap,
             "identity_holds": counts.identity_holds,
-            "closed_forms_hold": counts.closed_forms_hold(),
+            "closed_forms_hold": closed_forms,
         }
     _write_json(args.json, report)
-    return CommandResult(0, "\n".join(lines), report)
+    return CommandResult(code, "\n".join(lines), report)
 
 
 def _cmd_profile(args) -> CommandResult:

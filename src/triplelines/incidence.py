@@ -18,6 +18,7 @@ import json
 from array import array
 from collections import Counter
 from math import comb
+from operator import add, itemgetter, lt, mul, setitem
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
@@ -199,43 +200,81 @@ def remove_line(A: Arrangement, index: int) -> Arrangement:
 class AbstractIncidence:
     """Blocks of line indices, one per intersection point of multiplicity >= 2.
 
-    Each block is a tuple of at least two line indices in strictly
-    increasing order. A partial linear space: two line indices share at
-    most one block. Construction checks that while it fills the n x n
-    pair-block matrix `pair` (rows are array('i'); pair[u][v] is the index
-    of the block holding lines u and v, -1 for none) and `signature` (per
-    line, the sorted sizes of the blocks through it), which isomorphic()
-    reads.
+    `blocks` is a tuple of blocks, and each block is a tuple of at least two
+    int line indices in strictly increasing order. A partial linear space:
+    two line indices share at most one block. Construction checks all that
+    by column: each run of consecutive blocks of one size is read as its
+    columns (first members, second members, ...), which are compared
+    element by element for the order and by min and max for the range, and
+    every pair u < v of a block is marked in one n*n byte table, which
+    shows a pair held twice. It also derives `signature` (per line, the
+    sorted sizes of the blocks through it), which isomorphic() reads. The
+    n x n pair-block matrix `pair` (rows are array('i'); pair[u][v] is the
+    index of the block holding lines u and v, -1 for none) is built from the
+    checked blocks the first time it is read; only isomorphic() reads it.
     """
 
-    __slots__ = ("num_lines", "blocks", "pair", "signature")
+    __slots__ = ("num_lines", "blocks", "signature", "_pair")
 
     def __init__(self, num_lines: int, blocks: tuple):
-        self.num_lines = n = num_lines
-        self.blocks = blocks  # tuple of strictly increasing tuples of line indices
-        # a row of C ints holds no int objects for block indices above 256
-        pair = [array("i", [-1]) * n for _ in range(n)]
-        sizes = [[] for _ in range(n)]
-        for k, b in enumerate(blocks):
-            # checked before the matrix is touched: an index of -1 would wrap around it
-            if type(b) is not tuple or any(u >= v for u, v in zip(b, b[1:])):
-                raise ValueError(f"block {b!r} is not a strictly increasing tuple")
-            if len(b) < 2:
+        # a list could change after the checks and no longer match `pair`
+        if type(blocks) is not tuple:
+            raise ValueError("blocks must be a tuple of strictly increasing tuples, "
+                             f"not a {type(blocks).__name__}")
+        if not {*map(type, blocks)} <= {tuple}:
+            raise _not_increasing(blocks)
+        n = num_lines
+        seen = bytearray(n * n)     # 1 at u*n + v for each pair u < v held by a block
+        pairs = 0                   # pairs held, counted with repeats
+        through = {}                # block size -> Counter of the lines on such blocks
+        for k, run in itertools.groupby(blocks, len):
+            run = tuple(run)
+            if k < 2:
                 raise ValueError("blocks record concurrences of at least two lines")
-            if b[0] < 0 or b[-1] >= n:
+            cols = [tuple(map(itemgetter(i), run)) for i in range(k)]
+            if not ({*map(type, itertools.chain.from_iterable(cols))} <= {int}
+                    and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
+                raise _not_increasing(run)
+            # checked before the table is touched: an index of -1 would wrap around it
+            if min(cols[0]) < 0 or max(cols[-1]) >= n:
                 raise ValueError("block indices out of range")
-            for u, v in itertools.combinations(b, 2):
-                if pair[u][v] >= 0:
-                    # also catches a block listed twice
-                    raise ValueError("two lines meet in more than one block")
-                pair[u][v] = pair[v][u] = k
-            for u in b:
-                sizes[u].append(len(b))
-        # in place, so the size lists and their tuples never all exist at once
-        for u, s in enumerate(sizes):
-            sizes[u] = tuple(sorted(s))
-        self.pair = pair
-        self.signature = sizes
+            for a, b in itertools.combinations(cols, 2):
+                positions = map(add, map(mul, a, itertools.repeat(n)), b)
+                any(map(setitem, itertools.repeat(seen), positions, itertools.repeat(1)))
+            pairs += len(run) * comb(k, 2)
+            through.setdefault(k, Counter()).update(itertools.chain.from_iterable(cols))
+        if seen.count(1) != pairs:
+            # also catches a block listed twice
+            raise ValueError("two lines meet in more than one block")
+        signature = [()] * n
+        for k in sorted(through):
+            for u, count in through[k].items():
+                signature[u] += (k,) * count
+        self.num_lines = n
+        self.blocks = blocks
+        self.signature = signature
+        self._pair = None
+
+    @property
+    def pair(self) -> list:
+        if self._pair is None:
+            n = self.num_lines
+            # a row of C ints holds no int objects for block indices above 256
+            pair = [array("i", [-1]) * n for _ in range(n)]
+            for k, b in enumerate(self.blocks):
+                for u, v in itertools.combinations(b, 2):
+                    pair[u][v] = pair[v][u] = k
+            self._pair = pair
+        return self._pair
+
+
+def _not_increasing(blocks: tuple) -> ValueError:
+    """The error naming the first block that is not a strictly increasing
+    tuple of ints; blocks holds one."""
+    for b in blocks:
+        if (type(b) is not tuple or not {*map(type, b)} <= {int}
+                or any(u >= v for u, v in zip(b, b[1:]))):
+            return ValueError(f"block {b!r} is not a strictly increasing tuple")
 
 
 def abstract(A: Arrangement, prof: Optional[IntersectionProfile] = None) -> AbstractIncidence:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import gt
 from typing import NamedTuple
 
 from .bounds import schoenheim_u3
@@ -48,15 +49,19 @@ def torsion_model(p: int) -> TorsionModel:
     if not is_prime(p) or p == 2:
         raise NonPrime(f"p = {p} is not an odd prime")
     points = tuple(itertools.product(range(p), repeat=2))
-    blocks = []
+    q = p * p
     # every block holds these int objects, not fresh ones for positions above 256
-    position = list(range(len(points)))
+    position = list(range(q))
+    # per y, the position of -P-Q for P = (0, y) and every Q, listed twice: for
+    # P = (x, y) that row is rotated by x*p, as Q -> Q + x*p adds x to Q's x
+    minus = [[position[(-u) % p * p + (-y - v) % p] for u, v in points] * 2
+             for y in range(p)]
+    blocks = []
     for P, (x, y) in enumerate(points):
-        for Q in position[P + 1:]:
-            u, v = points[Q]
-            R = (-x - u) % p * p + (-y - v) % p
-            if R > Q:
-                blocks.append((P, Q, position[R]))
+        Q = position[P + 1:]
+        R = minus[y][P + 1 + x * p:q + x * p]
+        blocks.extend(itertools.compress(zip(itertools.repeat(position[P]), Q, R),
+                                         map(gt, R, Q)))
     pairs = []
     if p >= 5:
         # X -> -2X has no fixed point and no 2-cycle (3X != 0), so each pair
@@ -81,7 +86,7 @@ def torsion_dual(model: TorsionModel) -> AbstractIncidence:
         dual = AbstractIncidence(n, model.secant_blocks + model.tangent_pairs)
     except ValueError as exc:
         raise RuntimeError(f"torsion model is not a partial linear space: {exc}") from exc
-    if not check_identity(n, Counter(len(b) for b in dual.blocks)):
+    if not check_identity(n, Counter(map(len, dual.blocks))):
         raise RuntimeError("torsion model leaves a point pair in no block")
     return dual
 

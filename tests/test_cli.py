@@ -15,6 +15,7 @@ import triplelines
 from triplelines import constraints
 from triplelines.cli import run
 from triplelines.constraints import default_battery
+from triplelines.torsion import TorsionDualCounts
 
 
 def _schema(name):
@@ -277,6 +278,14 @@ def test_torsion_cli(tmp_path):
     assert run(["torsion", "--p", "3", "--dual"]).exit_code == 2
     assert run(["torsion", "--p", "3"]).exit_code == 0
     assert run(["torsion", "--p", "6"]).exit_code == 2
+
+
+def test_torsion_cli_exits_1_when_the_closed_forms_fail(monkeypatch):
+    monkeypatch.setattr(TorsionDualCounts, "closed_forms_hold", lambda self: False)
+    res = run(["torsion", "--p", "5", "--dual"])
+    assert res.exit_code == 1
+    assert "closed forms hold: False" in res.text
+    assert res.report["dual"]["closed_forms_hold"] is False
 
 
 def test_profile_missing_file_names_it():

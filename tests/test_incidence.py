@@ -33,6 +33,7 @@ from triplelines.incidence import (
     table,
 )
 from triplelines.projective import ProjLine, ProjPoint, cross, enumerate_lines, incident, meet
+from triplelines.torsion import torsion_dual, torsion_model
 
 
 def lines_of(F, coords):
@@ -277,31 +278,84 @@ def test_remove_line_only_touches_removed_incidences(gf5, rng):
 # abstraction and isomorphism
 # ---------------------------------------------------------------------------
 
-def test_abstract_blocks_are_partial_linear(gf5):
+def _assert_matches_recount(ab):
+    """`pair` and `signature` against a recount from the blocks, one by one."""
+    holding = {}
+    through = [[] for _ in range(ab.num_lines)]
+    for k, b in enumerate(ab.blocks):
+        for u, v in itertools.permutations(b, 2):
+            holding.setdefault((u, v), []).append(k)
+        for u in b:
+            through[u].append(len(b))
+    for u, v in itertools.product(range(ab.num_lines), repeat=2):
+        assert [ab.pair[u][v]] == holding.get((u, v), [-1])
+    assert ab.signature == [tuple(sorted(sizes)) for sizes in through]
+
+
+def test_abstract_blocks_are_partial_linear(gf5, rng):
     ab = abstract(instantiate("TEN_E2", gf5))
     assert ab.num_lines == 10
     assert sorted(len(b) for b in ab.blocks) == [2] * 6 + [3] * 13
-    # the pair-block matrix and signatures, recounted from the blocks
-    for u, v in itertools.permutations(range(10), 2):
-        holding = [k for k, b in enumerate(ab.blocks) if {u, v} <= set(b)]
-        assert [ab.pair[u][v]] == (holding or [-1])
-    assert ab.signature == [tuple(sorted(len(b) for b in ab.blocks if u in b))
-                            for u in range(10)]
+    _assert_matches_recount(ab)
+    # packings whose blocks of sizes 2, 3 and 4 come in many runs of each size
+    for _ in range(20):
+        candidates = [c for k in (2, 3, 4) for c in itertools.combinations(range(12), k)]
+        rng.shuffle(candidates)
+        covered, blocks = set(), []
+        for c in candidates:
+            pairs = set(itertools.combinations(c, 2))
+            if not pairs & covered:
+                covered |= pairs
+                blocks.append(c)
+        sizes = Counter(map(len, blocks))
+        assert len(sizes) == 3 and min(sizes.values()) >= 2
+        while min(Counter(k for k, _ in itertools.groupby(map(len, blocks))).values()) < 2:
+            rng.shuffle(blocks)
+        _assert_matches_recount(AbstractIncidence(12, tuple(blocks)))
+    duals = {p: torsion_dual(torsion_model(p)) for p in (5, 7)}
+    for dual in duals.values():
+        _assert_matches_recount(dual)
+
+    def relabelled(ab, perm):
+        return AbstractIncidence(ab.num_lines,
+                                 tuple(tuple(sorted(perm[i] for i in b)) for b in ab.blocks))
+
+    # a random relabelling of the p = 5 dual, which the backtracking must undo
+    perm = list(range(25))
+    rng.shuffle(perm)
+    assert isomorphic(duals[5], relabelled(duals[5], perm))
+    # the p = 7 dual relabelled by an invertible linear map of (Z/7)^2: the
+    # same blocks, listed in another order (a random relabelling of 49 lines
+    # leaves the backtracking too many dead branches)
+    while True:
+        a, b, c, d = (rng.randrange(7) for _ in range(4))
+        if (a * d - b * c) % 7:
+            break
+    perm = [(a * x + b * y) % 7 * 7 + (c * x + d * y) % 7 for x, y in torsion_model(7).points]
+    linear = relabelled(duals[7], perm)
+    assert linear.blocks != duals[7].blocks
+    assert isomorphic(duals[7], linear) and isomorphic(linear, duals[7])
 
 
 @pytest.mark.parametrize("blocks, message", [
-    pytest.param([(0, 1, 2), (0, 1, 3)], "more than one block", id="pair-in-two-blocks"),
-    pytest.param([(0, 1, 2), (0, 1, 2)], "more than one block", id="duplicate-block"),
-    pytest.param([(0, 1, 2), (3,)], "at least two lines", id="one-line-block"),
-    pytest.param([(-1, 0, 1)], "out of range", id="index-minus-one"),
-    pytest.param([(0, 1, 4)], "out of range", id="index-num-lines"),
-    pytest.param([(0, 3), frozenset({0, 1, 2})], "strictly increasing tuple", id="frozenset"),
-    pytest.param([(0, 3), (0, 2, 1)], "strictly increasing tuple", id="unsorted-tuple"),
-    pytest.param([(0, 3), (0, 1, 1)], "strictly increasing tuple", id="repeated-member"),
+    pytest.param(((0, 1, 2), (0, 1, 3)), "more than one block", id="pair-in-two-blocks"),
+    pytest.param(((0, 1, 2), (0, 1, 2)), "more than one block", id="duplicate-block"),
+    pytest.param(((0, 1, 2), (1, 2)), "more than one block", id="pair-in-blocks-of-two-sizes"),
+    pytest.param(((0, 1, 2), (3,)), "at least two lines", id="one-line-block"),
+    pytest.param(((-1, 0, 1),), "out of range", id="index-minus-one"),
+    pytest.param(((0, 1, 4),), "out of range", id="index-num-lines"),
+    pytest.param(((0, 1, 2), (2, 4)), "out of range", id="index-num-lines-in-a-later-run"),
+    pytest.param(((0, 3), frozenset({0, 1, 2})), "strictly increasing tuple", id="frozenset"),
+    pytest.param(((0, 3), (0, 2, 1)), "strictly increasing tuple", id="unsorted-tuple"),
+    pytest.param(((0, 1, 2), (3, 0)), "strictly increasing tuple", id="unsorted-in-a-later-run"),
+    pytest.param(((0, 3), (0, 1, 1)), "strictly increasing tuple", id="repeated-member"),
+    pytest.param([(0, 1), (2, 3)], "strictly increasing tuple", id="list-of-blocks"),
+    pytest.param(((True, 2),), "strictly increasing tuple", id="bool-member"),
+    pytest.param(((0, 1.0, 2),), "strictly increasing tuple", id="float-member"),
 ])
 def test_abstract_rejects_bad_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
-        AbstractIncidence(4, tuple(blocks))
+        AbstractIncidence(4, blocks)
 
 
 def test_isomorphic_reflexive_and_relabelling(gf2, rng):

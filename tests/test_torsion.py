@@ -58,8 +58,9 @@ def test_linearity_p5_and_p7():
 
 
 def test_p19_dual_stays_small():
-    """Blocks as index tuples and pair-matrix rows as C int arrays keep the
-    p = 19 model and dual (361 lines, 21,900 blocks) under 4 MiB."""
+    """Blocks as index tuples sharing their int objects, checked by column
+    without a pair-block matrix, keep the p = 19 model and dual (361 lines,
+    21,900 blocks) under 4 MiB."""
     tracemalloc.start()
     try:
         torsion_dual(torsion_model(19))
