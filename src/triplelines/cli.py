@@ -283,6 +283,8 @@ def _cmd_constraints(args) -> CommandResult:
         }
         if not crep.ok:
             code = 1
+    elif args.consequences:
+        lines.append(f"consequences: none recorded for {args.scenario}")
     lines.append("note: per-field evidence only, not a statement about all fields")
     _write_json(args.json, report)
     return CommandResult(code, "\n".join(lines), report)

@@ -371,12 +371,22 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
 
 
 def parse_field(token: str, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """Parse the CLI/file notation 'p' or 'p^k'."""
+    """Parse the CLI/file notation 'p' or 'p^k'; a prime power q written as 'q'
+    is rejected with its p^k spelling."""
     text = token.strip()
     if "^" in text:
         p_text, k_text = text.split("^", 1)
         return make_field(int(p_text), int(k_text), modulus)
-    return make_field(int(text), 1, modulus)
+    q = int(text)
+    if q > 1 and not is_prime(q):
+        p = next(f for f in range(2, q) if q % f == 0)
+        k = 0
+        while q % p ** (k + 1) == 0:
+            k += 1
+        if p ** k == q:
+            raise NonPrimeCharacteristic(
+                f"characteristic {q} is not prime; write GF({q}) as {p}^{k}")
+    return make_field(q, 1, modulus)
 
 
 def reduce_int_poly(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:

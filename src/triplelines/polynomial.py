@@ -128,6 +128,21 @@ class IntPolynomial:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def substitute(self, values: Mapping[str, "IntPolynomial"]) -> "IntPolynomial":
+        """The polynomial with each variable named in `values` replaced by its
+        value, a polynomial over the same variable list."""
+        total = IntPolynomial.constant(0, self.variables)
+        for exps, coeff in self.terms.items():
+            term = IntPolynomial.constant(coeff, self.variables)
+            for v, e in zip(self.variables, exps):
+                if e:
+                    factor = values[v] if v in values else IntPolynomial.variable(
+                        v, self.variables)
+                    for _ in range(e):
+                        term = term * factor
+            total = total + term
+        return total
+
     def evaluate(self, values: Mapping[str, FieldElement], F: FieldSpec) -> FieldElement:
         acc = F.zero
         for exps, coeff in self.terms.items():

@@ -130,7 +130,12 @@ def test_search_cli_success():
 
 
 def test_search_cli_rejects_bad_field():
-    assert run(["search", "--field", "4", "--lines", "5"]).exit_code == 2
+    res = run(["search", "--field", "4", "--lines", "5"])
+    assert res.exit_code == 2 and "write GF(4) as 2^2" in res.text
+    res = run(["search", "--field", "16", "--lines", "5"])
+    assert res.exit_code == 2 and "write GF(16) as 2^4" in res.text
+    res = run(["search", "--field", "12", "--lines", "5"])
+    assert res.exit_code == 2 and "12 is not prime" in res.text and "write" not in res.text
     base = ["search", "--field", "5", "--lines", "8"]
     assert run(base + ["--threads", "0"]).exit_code == 2
     assert run(base + ["--max-nodes", "-1"]).exit_code == 2
@@ -237,6 +242,13 @@ def test_constraints_cli_battery():
     assert res.exit_code == 0
     _validate(res.report, "constraints_report.schema.json")
     assert all(entry["solution_count"] == 0 for entry in res.report["fields"])
+
+
+@pytest.mark.parametrize("scenario", ["TEN_CASE_A", "ELEVEN_CASE_I"])
+def test_constraints_cli_says_when_no_consequences_are_recorded(scenario):
+    res = run(["constraints", scenario, "--field", "5", "--consequences"])
+    assert res.exit_code == 0 and "consequences" not in res.report
+    assert f"consequences: none recorded for {scenario}" in res.text
 
 
 def test_constraints_cli_scans_each_field_once(monkeypatch):

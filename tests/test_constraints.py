@@ -18,6 +18,7 @@ from triplelines.constraints import (
     consequence_check,
     default_battery,
     realize,
+    _scan_plan,
     solve_over,
 )
 from triplelines.errors import FieldTooLarge, UnsolvedAssignment
@@ -38,6 +39,13 @@ def test_int_polynomial_arithmetic():
     F = make_field(7)
     val = p.evaluate({"a": F(3), "b": F(2)}, F)
     assert val == F(5)
+
+
+def test_substitute_replaces_the_named_variables_only():
+    (a, b), const = poly_ring(("a", "b"))
+    assert (a * b - b).substitute({"a": b + const(1)}) == b * b
+    assert (a * a - b).substitute({"a": const(0)}) == -b
+    assert (a - b).substitute({}) == a - b
 
 
 def test_collinearity_poly_reproduces_a_minus_bc():
@@ -234,13 +242,19 @@ def test_solution_order_deterministic_and_equation_order_free(gf4):
 
 
 def _oracle_systems():
-    """Every scenario, its equation-only variant and the published TEN_CASE_B."""
+    """Every scenario, its equation-only variant, the published TEN_CASE_B and
+    two synthetic systems for the scan's other paths: a^2-b^2 is linear in no
+    variable, so one runs over the field; in ab-b both coefficients of a
+    vanish at b = 0, where every a is a solution."""
     for name in SCENARIO_NAMES:
         system = build_system(name)
         yield name, system
         yield f"{name}/equations", ConstraintSystem(name, system.variables,
                                                     system.equations, ())
     yield "TEN_CASE_B/published", _published_variant(TEN_CASE_B, _published_systems())
+    (a, b), _ = poly_ring(("a", "b"))
+    yield "a^2-b^2", ConstraintSystem("squares", ("a", "b"), (a * a - b * b,), ())
+    yield "ab-b", ConstraintSystem("pencil", ("a", "b"), (a * b - b,), ())
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -258,6 +272,15 @@ def test_raw_solutions_match_brute_force_oracle(p, k):
         got = [tuple(asg[v].index for v in system.variables)
                for asg in solve_over(system, F, apply_post_checks=False)]
         assert got == want, label
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scan_solves_one_variable_of_every_scenario(name):
+    # q assignments per field, not q^2: some equation is linear in a free
+    # variable once the eliminated ones are substituted
+    system = build_system(name)
+    fill, others, v, c1, c0 = _scan_plan(system.variables, system.equations)
+    assert len(others) == 1 and not c1.is_zero()
 
 
 def test_field_too_large_guard():
