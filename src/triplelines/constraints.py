@@ -43,7 +43,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import IdenticalArguments, UnsolvedAssignment
-from .field import FieldElement, FieldSpec, make_field
+from .field import FieldElement, FieldSpec, make_field, prime_power
 from .incidence import Arrangement
 from .polynomial import IntPolynomial, poly_ring
 from .projective import ProjLine, cross, incident, inner, meet
@@ -64,18 +64,7 @@ DEFAULT_BATTERY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
 
 
 def default_battery() -> list[FieldSpec]:
-    out = []
-    for q in DEFAULT_BATTERY_ORDERS:
-        p, k = q, 1
-        for prime in (2, 3, 5, 7, 11, 13):
-            if q % prime == 0:
-                p = prime
-                k = 1
-                while prime ** k < q:
-                    k += 1
-                break
-        out.append(make_field(p, k))
-    return out
+    return [make_field(*prime_power(q)) for q in DEFAULT_BATTERY_ORDERS]
 
 
 class ConstraintSystem(NamedTuple):

@@ -4,12 +4,12 @@ Elements are canonical coefficient vectors of length k over Z/p (low degree
 first); extension arithmetic reduces modulo a monic irreducible polynomial.
 Every field caches full operation tables, which makes element arithmetic a
 pair of list lookups; make_field() therefore builds only fields of order up
-to TABLE_LIMIT and raises FieldTooLarge beyond it (the toolkit never needs
-q > 81).
+to TABLE_LIMIT and raises FieldTooLarge beyond it.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -370,6 +370,18 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     return _FIELD_CACHE[key]
 
 
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, k) with p prime and p^k = q, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
 def parse_field(token: str, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
     """Parse the CLI/file notation 'p' or 'p^k'; a prime power q written as 'q'
     is rejected with its p^k spelling."""
@@ -378,39 +390,28 @@ def parse_field(token: str, modulus: Optional[Sequence[int]] = None) -> FieldSpe
         p_text, k_text = text.split("^", 1)
         return make_field(int(p_text), int(k_text), modulus)
     q = int(text)
-    if q > 1 and not is_prime(q):
-        p = next(f for f in range(2, q) if q % f == 0)
-        k = 0
-        while q % p ** (k + 1) == 0:
-            k += 1
-        if p ** k == q:
-            raise NonPrimeCharacteristic(
-                f"characteristic {q} is not prime; write GF({q}) as {p}^{k}")
+    p, k = prime_power(q) or (q, 1)
+    if k > 1:
+        raise NonPrimeCharacteristic(
+            f"characteristic {q} is not prime; write GF({q}) as {p}^{k}")
     return make_field(q, 1, modulus)
 
 
-def reduce_int_poly(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:
-    """Map integer coefficients into F and trim; raises if identically zero."""
-    coeffs = [F.from_int(c) for c in poly]
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if not coeffs:
-        raise ZeroPolynomial("polynomial vanishes identically after reduction")
-    return coeffs
-
-
-def eval_poly(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def roots_of(poly: Sequence[int], F: FieldSpec) -> list[FieldElement]:
-    """All roots in F of an integer-coefficient univariate polynomial.
+    """All roots in F of an integer-coefficient univariate polynomial (low
+    degree first); raises if it vanishes identically over F.
 
-    Exhaustive evaluation over the p^k elements, returned in canonical order.
+    Exhaustive Horner evaluation over the p^k elements, returned in canonical
+    order.
     """
-    coeffs = reduce_int_poly(poly, F)
-    return [x for x in F.elements() if eval_poly(coeffs, x).is_zero()]
-
+    coeffs = [F.from_int(c) for c in reversed(poly)]
+    if all(c.is_zero() for c in coeffs):
+        raise ZeroPolynomial("polynomial vanishes identically after reduction")
+    roots = []
+    for x in F.elements():
+        value = F.zero
+        for c in coeffs:
+            value = value * x + c
+        if value.is_zero():
+            roots.append(x)
+    return roots

@@ -1,10 +1,16 @@
-"""Shared helpers: seeded random arrangements and an independent profiler."""
+"""Shared helpers: seeded random arrangements, an independent profiler and a
+fresh-interpreter runner."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triplelines
 from triplelines.field import make_field
 from triplelines.incidence import Arrangement
 from triplelines.projective import enumerate_lines, enumerate_points, incident
@@ -38,6 +44,14 @@ def brute_force_best_triples(F, s, metric="exact3"):
         if count > best:
             best = count
     return best
+
+
+def run_python(code):
+    """Stdout of `python -c code` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(triplelines.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from triplelines.field import (
     is_prime,
     make_field,
     parse_field,
+    prime_power,
     roots_of,
 )
 
@@ -124,6 +125,13 @@ def test_parse_field_notation():
     assert parse_field("2^2", [1, 1, 1]).modulus == (1, 1, 1)
 
 
+def test_prime_power_splits_exactly_the_prime_powers():
+    powers = {p ** k: (p, k) for p in range(2, 200) if is_prime(p)
+              for k in range(1, 8) if p ** k < 200}
+    assert {q: prime_power(q) for q in range(-2, 200)} == {
+        q: powers.get(q) for q in range(-2, 200)}
+
+
 # ---------------------------------------------------------------------------
 # arithmetic operations
 # ---------------------------------------------------------------------------
@@ -213,6 +221,8 @@ def test_roots_examples():
     assert roots_of([1, 1, 1], make_field(2)) == []
     assert [r.index for r in roots_of([-1, 1, 1], make_field(11))] == [3, 7]
     assert roots_of([-1, 1, 1], make_field(7)) == []
+    # a leading coefficient that reduces to zero lowers the degree
+    assert [r.index for r in roots_of([-1, 1, 1, 11], make_field(11))] == [3, 7]
 
 
 def test_roots_cross_check_against_evaluation():

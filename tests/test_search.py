@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import brute_force_best_triples
+from conftest import brute_force_best_triples, run_python
 
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
 from triplelines.field import make_field
@@ -226,6 +226,27 @@ def test_threads_match_sequential(gf3, gf5):
         assert seq.exhaustive and par.exhaustive
         assert ([arrangement_to_json(w) for w in seq.witnesses]
                 == [arrangement_to_json(w) for w in par.witnesses])
+
+
+_SPAWNED_SEARCH = """
+import multiprocessing
+from triplelines.field import make_field
+from triplelines.incidence import arrangement_to_json
+from triplelines.search import SearchConfig, max_triple_search
+multiprocessing.set_start_method("spawn")
+reports = [max_triple_search(SearchConfig(field=make_field(7), s=10, threads=t))
+           for t in (2, 1)]
+par, seq = [rep._replace(witnesses=[arrangement_to_json(w) for w in rep.witnesses])
+            for rep in reports]
+print(par == seq, par.best, par.nodes_visited, len(multiprocessing.active_children()))
+"""
+
+
+def test_spawned_pool_matches_sequential():
+    # spawned workers start from a fresh interpreter and import the search
+    # themselves; the report must not depend on the start method, and the
+    # pool must leave no worker behind
+    assert run_python(_SPAWNED_SEARCH).split() == ["True", "12", "9287", "0"]
 
 
 # GF(5), s=11, target 17 is refuted in 720 nodes: the root, then 248 in the

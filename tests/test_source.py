@@ -1,12 +1,11 @@
 """Properties of the package source itself."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 import triplelines
 
@@ -58,10 +57,17 @@ def test_import_leaves_the_process_pool_unloaded(module):
     # a search imports the pool only when it starts workers, so runs that
     # never do carry none of its memory; records are named tuples, so no run
     # pays for building dataclasses or for the inspect module they load
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))")
-    src = str(Path(triplelines.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    out = run_python(f"import sys, {module}; "
+                     "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+                     "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))")
+    assert out.split() == []
+
+
+def test_search_import_loads_only_what_a_search_uses():
+    # the package re-exports nothing, so a search, and each pool worker a
+    # spawn or forkserver start imports it in, loads no scenario systems,
+    # polynomials, certificates or torsion model
+    out = run_python("import sys, triplelines.search; "
+                     "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'triplelines'))")
+    assert out.split() == ["triplelines"] + [f"triplelines.{name}" for name in (
+        "bounds", "errors", "field", "incidence", "projective", "search")]
