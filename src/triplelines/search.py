@@ -53,15 +53,26 @@ cuts a prefix of a subset that reaches the target, and the triple count is
 the same on a whole orbit, every best value is kept. Leaves are entered
 without a bound or symmetry test. Searches and their reports are per-field
 evidence only.
+
+The symmetry test is two int operations per child. With N lines in the
+plane, line id i is bit N-1-i of a mask, so of two sets of equal size the
+one whose sorted ids come first is the larger int, and a child is cut when
+some image g(X) > X. A node carries one int, gaps, with one (N+1)-bit field
+per non-identity g, holding 2^N + g(X) - X - 1. That lies in [0, 2^(N+1))
+as X < 2^N and g(X) < 2^N, so no field borrows from or carries into the
+next, and a field's top (guard) bit is set exactly when g(X) > X. Adding a
+candidate c to X adds the bit of c to X and the bit of g(c) to g(X), as g
+is a bijection and c is not in X. So the child's gaps are gaps + delta(c),
+where the field of g in delta(c) holds the bit of g(c) minus the bit of c,
+and the child is cut when (gaps + delta(c)) & guard is nonzero.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
 from math import comb
-from operator import lshift, or_
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bounds import schoenheim_u3
@@ -158,6 +169,10 @@ FRAME_COORDS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 # witness classes kept per report; the search keeps four times as many raw witnesses
 WITNESS_CAP = 10
 
+# bytes of packed symmetry deltas a search may keep (_Searcher.delta): every
+# field up to GF(47) fits (~5 MB at GF(27)), while GF(81) would need ~500 MB
+DELTA_TABLE_LIMIT = 16 << 20
+
 
 def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
     """Best triple count over pencils and near-pencils of s >= 5 lines, or None
@@ -177,8 +192,10 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
     The 24 projectivities permuting the frame lines (S4) act on line
     coordinates as u -> uM, where M is an integer matrix whose rows are
     +-(frame vectors); the field automorphisms e -> e^p fix the frame too,
-    so the group has order 24*k. It is closed from three generators (a
-    transposition, a 4-cycle and Frobenius) computed over the field tables.
+    so the group has order 24*k. S4 is closed from two generators (a
+    transposition and a 4-cycle) computed over the field tables; Frobenius
+    commutes with S4, whose matrices have prime-field entries, so the group
+    is S4 times the powers of Frobenius.
     """
     F = plane.field
     q, add, mul = F.order, F.add_table, F.mul_table
@@ -193,29 +210,36 @@ def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
             add[add[mul[u[0]][m[0][j]]][mul[u[1]][m[1][j]]]][mul[u[2]][m[2][j]]]
             for j in range(3))
 
-    gens = [permutation(linear(((0, 1, 0), (1, 0, 0), (0, 0, 1)))),    # x <-> y
+    # itemgetter(*h)(g) is the composite g.h, i -> g[h[i]]
+    gens = [itemgetter(*permutation(linear(((0, 1, 0), (1, 0, 0), (0, 0, 1))))),  # x <-> y
             # x -> y -> z -> x+y+z -> x, since (x+y+z)M = -x
-            permutation(linear(((0, 1, 0), (0, 0, 1), (-1, -1, -1))))]
+            itemgetter(*permutation(linear(((0, 1, 0), (0, 0, 1), (-1, -1, -1)))))]
+    identity = tuple(range(len(keys)))
+    s4, frontier = {identity}, [identity]
+    while frontier and len(s4) <= 24:
+        new = []
+        for g in frontier:
+            for compose in gens:
+                gh = compose(g)
+                if gh not in s4:
+                    s4.add(gh)
+                    new.append(gh)
+        frontier = new
+
+    group = set(s4)
     if F.k > 1:
-        frob = []
+        pth = []                                           # e -> e^p
         for e in range(q):
             power = 1
             for _ in range(F.p):
                 power = mul[power][e]
-            frob.append(power)
-        gens.append(permutation(lambda u: tuple(frob[e] for e in u)))
-
-    identity = tuple(range(len(keys)))
-    group, frontier = {identity}, [identity]
-    while frontier and len(group) <= 24 * F.k:
-        new = []
-        for g in frontier:
-            for h in gens:
-                gh = tuple(map(g.__getitem__, h))
-                if gh not in group:
-                    group.add(gh)
-                    new.append(gh)
-        frontier = new
+            pth.append(power)
+        frob = permutation(lambda u: tuple(pth[e] for e in u))
+        power = identity
+        for _ in range(F.k - 1):
+            power = itemgetter(*frob)(power)
+            compose = itemgetter(*power)
+            group.update(compose(g) for g in s4)
     if len(group) != 24 * F.k:
         raise RuntimeError(f"frame stabilizer of PG(2,{q}) has order {len(group)}, "
                            f"expected {24 * F.k}")
@@ -234,12 +258,10 @@ class _Searcher:
     from its line's point mask and passed down, so nothing is undone on the
     way back. branch() explores one first-choice subtree.
 
-    With the frame the search also carries X, the mask of chosen candidate
-    ids, and its image under each non-identity element of the frame
-    stabilizer, which maps candidates to candidates. Line id i is bit
-    top-i, so of two subsets of equal size the one whose sorted ids come
-    first lexicographically is the larger int, and a child is cut when one
-    of its images exceeds X.
+    With the frame the search also carries gaps, which compares X, the set
+    of chosen candidates, with its image under each non-identity element of
+    the frame stabilizer (which maps candidates to candidates), one packed
+    field per element as the module docstring sets out.
     """
 
     def __init__(self, cfg: SearchConfig, plane: Plane, use_frame: bool):
@@ -270,17 +292,36 @@ class _Searcher:
             by_multiplicity[min(m, 4)] |= 1 << point
         self.root = (tuple(fixed), *by_multiplicity[1:])
 
-        # bit[i] is the bit of candidates[i]; images[i] holds the bit of its
-        # image under each non-identity group element, as ints from one
-        # shared list; 1 << bit is made on the fly, since storing those wide
-        # ints per candidate and element costs megabytes at GF(27)
-        bit_of = list(range(len(plane.lines) - 1, -1, -1))
-        self.bit = [bit_of[line_id] for line_id in candidates]
+        # field j of gaps is len(plane.lines) + 1 bits wide and belongs to
+        # group[j + 1]; line id i is bit top - i of a field
+        self.top = top = len(plane.lines) - 1
         group = frame_stabilizer(plane) if use_frame else [()]
         self.group_order = len(group)
-        self.images = [tuple(bit_of[g[line_id]] for g in group[1:])
-                       for line_id in candidates]
-        self.root_images = (0,) * (len(group) - 1)
+        self.group = group[1:]
+        self.rep = sum(1 << j * (top + 2) for j in range(len(self.group)))  # 1 per field
+        self.guard = self.rep << top + 1
+        # built on first use, since a search may touch only a few candidates;
+        # kept if every delta fits in DELTA_TABLE_LIMIT, else built on each
+        # use, which costs far less than one node's gains over those fields
+        self.deltas: list[Optional[int]] = [None] * len(candidates)
+        self.keep_deltas = (len(candidates) * len(self.group) * (top + 2)
+                            <= 8 * DELTA_TABLE_LIMIT)
+
+    def delta(self, idx: int) -> int:
+        """What adding candidates[idx] adds to gaps: bit(g(c)) - bit(c) in the
+        field of each non-identity g, for c = candidates[idx]."""
+        delta = self.deltas[idx]
+        if delta is None:
+            line_id, top = self.candidates[idx], self.top
+            end = (top + 2) * len(self.group)
+            packed = bytearray((end + 7) // 8)
+            for field_top, g in zip(range(top, end, top + 2), self.group):
+                pos = field_top - g[line_id]
+                packed[pos >> 3] |= 1 << (pos & 7)
+            delta = int.from_bytes(packed, "little") - (self.rep << top - line_id)
+            if self.keep_deltas:
+                self.deltas[idx] = delta
+        return delta
 
     # -- main recursion --------------------------------------------------------
 
@@ -299,7 +340,8 @@ class _Searcher:
         row = self.headroom[len(chosen)]
         t3 = (m3 if self.exact else m3 | m4).bit_count()
         if t3 + row[min(m2.bit_count(), len(row) - 1)] >= target:
-            self._children(self.root, 0, self.root_images, first, first + 1)
+            # X = 0: each field holds 2^N - 1
+            self._children(self.root, self.guard - self.rep, first, first + 1)
         return self.best, self.witnesses, self.nodes, self.budget_hit
 
     def _record(self, chosen: tuple, count: int) -> None:
@@ -311,8 +353,7 @@ class _Searcher:
         if count >= self.target and len(self.witnesses) >= self.quota:
             self.stop = True
 
-    def _children(self, state: tuple, x: int, images: tuple, start: int,
-                  stop: int) -> None:
+    def _children(self, state: tuple, gaps: int, start: int, stop: int) -> None:
         """Enter the children of a node that add candidates[start:stop].
 
         gains[i] is how much the triple count changes when candidates[start + i]
@@ -322,8 +363,8 @@ class _Searcher:
         check, and its own children follow. Every state entered counts as a
         node.
         """
-        candidates, masks, bits, cand_images = (self.candidates, self.masks,
-                                                self.bit, self.images)
+        candidates, masks, deltas, guard = (self.candidates, self.masks, self.deltas,
+                                            self.guard)
         target = self.target
         chosen, m1, m2, m3, m4 = state
         t3 = (m3 if self.exact else m3 | m4).bit_count()
@@ -374,10 +415,9 @@ class _Searcher:
             d2 = c2.bit_count()
             if t3 + gains[idx - start] + row[d2 if d2 < top else top] < target:
                 continue
-            child_x = x | 1 << bits[idx]
-            child_images = tuple(map(or_, images, map(lshift, repeat(1),
-                                                       cand_images[idx])))
-            if child_images and max(child_images) > child_x:
+            delta = deltas[idx]
+            child_gaps = gaps + (self.delta(idx) if delta is None else delta)
+            if child_gaps & guard:
                 continue
             self.nodes += 1
             if self.nodes > self.node_budget:
@@ -385,7 +425,7 @@ class _Searcher:
                 return
             child = (chosen + (candidates[idx],), m1 & ~m | m & ~covered, c2,
                      m3 & ~m | m2 & m, m4 | m3 & m)
-            self._children(child, child_x, child_images, idx + 1, grandchild_stop)
+            self._children(child, child_gaps, idx + 1, grandchild_stop)
             if self.stop or self.budget_hit:
                 return
 
@@ -398,7 +438,8 @@ def _worker_searcher(cfg: SearchConfig, use_frame: bool) -> _Searcher:
 def _pool_branch(cfg: SearchConfig, use_frame: bool, first: int, target: int,
                  quota: int) -> tuple:
     """Worker entry: one branch of one pass, with the whole node budget. A
-    worker process builds its searcher (masks, group) once per run."""
+    worker process builds its searcher (masks, group) once per run, and each
+    candidate's delta on first use."""
     return _worker_searcher(cfg, use_frame).branch(first, cfg.max_nodes, target, quota)
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import brute_force_best_triples, run_python
 
+from triplelines import search
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
-from triplelines.field import make_field
+from triplelines.field import make_field, prime_power
 from triplelines.incidence import (
     Arrangement,
     abstract,
@@ -28,6 +29,7 @@ from triplelines.search import (
     FRAME_COORDS,
     Plane,
     SearchConfig,
+    _Searcher,
     dual_search_seed,
     frame_stabilizer,
     max_triple_search,
@@ -199,16 +201,21 @@ def test_config_rejects_meaningless_settings(gf5):
         SearchConfig(field=gf5, s=8, target=-3)
 
 
-@pytest.mark.parametrize("p, kwargs, expected", [
+@pytest.mark.parametrize("q, kwargs, expected", [
     (5, dict(s=10), (13, 1366, True)),
     (5, dict(s=10, threads=2), (13, 1366, True)),
     (5, dict(s=8), (7, 401, True)),
     (5, dict(s=8, metric="atleast3"), (7, 417, True)),
     (3, dict(s=7, normalize_frame=False), (6, 835, True)),
+    # refutations of 11 lines with 17 triple points; GF(8) and GF(9) prune
+    # under the Frobenius elements too
+    (7, dict(s=11, target=17), (16, 7025, True)),
+    (8, dict(s=11, target=17), (None, 4270, True)),
+    (9, dict(s=11, target=17), (16, 12919, True)),
 ])
-def test_node_counts_are_pinned(p, kwargs, expected):
+def test_node_counts_are_pinned(q, kwargs, expected):
     # exact node counts: a change here changes what the search visits
-    rep = max_triple_search(SearchConfig(field=make_field(p), **kwargs))
+    rep = max_triple_search(SearchConfig(field=make_field(*prime_power(q)), **kwargs))
     assert (rep.best, rep.nodes_visited, rep.exhaustive) == expected
 
 
@@ -405,6 +412,41 @@ def test_frame_stabilizer_is_the_collineation_group_of_the_frame(p, k):
     pencils = {frozenset(lines) for lines in through}
     for g in group:
         assert all(frozenset(g[i] for i in lines) in pencils for lines in through)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (7, 1), (2, 3), (3, 2)])
+def test_packed_symmetry_test_matches_the_images(p, k, rng):
+    # the guard-bit verdict on a child X + c equals max_g g(X + c) > X + c,
+    # computed from the permutations with line id i as bit N-1-i
+    plane = Plane.of(make_field(p, k))
+    searcher = _Searcher(SearchConfig(field=plane.field, s=8), plane, use_frame=True)
+    group, n = frame_stabilizer(plane), len(plane.lines)
+
+    def mask(line_ids):
+        return sum(1 << n - 1 - i for i in line_ids)
+
+    verdicts = Counter()
+    for _ in range(400):
+        # half the draws from the first 12 candidates, where lex-leaders are common
+        last = rng.choice((len(searcher.candidates), 12)) - 1
+        xs = sorted(rng.sample(range(last), rng.randint(1, 6)))
+        c = rng.randint(xs[-1] + 1, last)
+        gaps = searcher.guard - searcher.rep + sum(searcher.delta(i) for i in xs + [c])
+        cut = gaps & searcher.guard != 0
+        lines = [searcher.candidates[i] for i in xs + [c]]
+        assert cut == (max(mask(g[i] for i in lines) for g in group[1:]) > mask(lines))
+        verdicts[cut] += 1
+    assert verdicts[False] and verdicts[True], verdicts
+
+
+def test_deltas_past_the_table_limit_are_built_on_each_use(monkeypatch):
+    monkeypatch.setattr(search, "DELTA_TABLE_LIMIT", 0)
+    plane = Plane.of(make_field(3, 2))
+    searcher = _Searcher(SearchConfig(field=plane.field, s=11), plane, use_frame=True)
+    assert searcher.delta(5) == searcher.delta(5)
+    assert searcher.deltas == [None] * len(searcher.candidates)
+    rep = max_triple_search(SearchConfig(field=plane.field, s=11, target=17))
+    assert (rep.best, rep.nodes_visited, rep.exhaustive) == (16, 12919, True)
 
 
 def _subset_best(F, s):
