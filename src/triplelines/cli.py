@@ -293,8 +293,8 @@ def _cmd_constraints(args) -> CommandResult:
 def _cmd_torsion(args) -> CommandResult:
     model = torsion_model(args.p)
     lines = [f"p={args.p}: {len(model.points)} points, "
-             f"{len(model.secant_blocks)} secant triples, "
-             f"{len(model.tangent_pairs)} tangent pairs, "
+             f"{len(model.secant[0])} secant triples, "
+             f"{len(model.tangent[0])} tangent pairs, "
              f"{model.num_lines} lines in total"]
     if model.special_case:
         lines.append("special case p=3: the tangent relation degenerates; "
@@ -302,8 +302,8 @@ def _cmd_torsion(args) -> CommandResult:
     report = {
         "p": args.p,
         "points": len(model.points),
-        "secant_blocks": len(model.secant_blocks),
-        "tangent_pairs": len(model.tangent_pairs),
+        "secant_blocks": len(model.secant[0]),
+        "tangent_pairs": len(model.tangent[0]),
         "lines": model.num_lines,
         "special_case": model.special_case,
     }

@@ -18,7 +18,7 @@ import json
 from array import array
 from collections import Counter
 from math import comb
-from operator import add, itemgetter, lt, mul, setitem
+from operator import add, lt, mul, setitem
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
@@ -200,48 +200,75 @@ def remove_line(A: Arrangement, index: int) -> Arrangement:
 class AbstractIncidence:
     """Blocks of line indices, one per intersection point of multiplicity >= 2.
 
-    `blocks` is a tuple of blocks, and each block is a tuple of at least two
-    int line indices in strictly increasing order. A partial linear space:
-    two line indices share at most one block. Construction checks all that
-    by column: each run of consecutive blocks of one size is read as its
-    columns (first members, second members, ...), which are compared
-    element by element for the order and by min and max for the range, and
-    every pair u < v of a block is marked in one n*n byte table, which
-    shows a pair held twice. It also derives `signature` (per line, the
-    sorted sizes of the blocks through it), which isomorphic() reads. The
-    n x n pair-block matrix `pair` (rows are array('i'); pair[u][v] is the
-    index of the block holding lines u and v, -1 for none) is built from the
-    checked blocks the first time it is read; only isomorphic() reads it.
+    A block holds at least two line indices in strictly increasing order. A
+    partial linear space: two line indices share at most one block. The
+    blocks are stored by column in `runs`, a tuple with one entry per run of
+    consecutive blocks of one size k: the k array('i') columns of the run
+    (first members, second members, ...), all of one length. Block indices
+    count through the runs in order.
+
+    AbstractIncidence(n, blocks) takes a tuple of int tuples and splits it
+    into runs wherever the size changes; from_runs(n, runs) takes the
+    columns as they are. Both go through one check of the columns: each
+    column element-wise below the next, the first column's min >= 0 and the
+    last column's max < n, and every pair u < v of a block marked in one
+    n*n byte table, which shows a pair held twice. The check also derives
+    `signature` (per line, the (size, count) pairs of the blocks through it
+    in ascending size), which isomorphic() reads. The n x n pair-block
+    matrix `pair` (rows are array('i'); pair[u][v] is the index of the block
+    holding lines u and v, -1 for none) is built from the columns the first
+    time it is read; only isomorphic() reads it. `blocks` rebuilds the
+    tuples on each read.
     """
 
-    __slots__ = ("num_lines", "blocks", "signature", "_pair")
+    __slots__ = ("num_lines", "runs", "signature", "_pair")
 
     def __init__(self, num_lines: int, blocks: tuple):
         # a list could change after the checks and no longer match `pair`
         if type(blocks) is not tuple:
             raise ValueError("blocks must be a tuple of strictly increasing tuples, "
                              f"not a {type(blocks).__name__}")
-        if not {*map(type, blocks)} <= {tuple}:
+        # array('i') would take True as 1
+        if not ({*map(type, blocks)} <= {tuple}
+                and {*map(type, itertools.chain.from_iterable(blocks))} <= {int}):
             raise _not_increasing(blocks)
-        n = num_lines
+        try:
+            runs = tuple(tuple(array("i", col) for col in zip(*run))
+                         for _, run in itertools.groupby(blocks, len))
+        except OverflowError:
+            raise ValueError("block indices out of range") from None
+        self._check(num_lines, runs)
+
+    @classmethod
+    def from_runs(cls, num_lines: int, runs: tuple) -> AbstractIncidence:
+        """The blocks given by column, as `runs` holds them. The columns are
+        kept, not copied, so they must not change afterwards."""
+        if not all(type(c) is array and c.typecode == "i" for cols in runs for c in cols):
+            raise ValueError("runs must hold array('i') columns")
+        self = cls.__new__(cls)
+        self._check(num_lines, runs)
+        return self
+
+    def _check(self, n: int, runs: tuple) -> None:
+        """Check the runs as the class docstring says, then keep them."""
         seen = bytearray(n * n)     # 1 at u*n + v for each pair u < v held by a block
         pairs = 0                   # pairs held, counted with repeats
         through = {}                # block size -> Counter of the lines on such blocks
-        for k, run in itertools.groupby(blocks, len):
-            run = tuple(run)
+        for cols in runs:
+            k = len(cols)
             if k < 2:
                 raise ValueError("blocks record concurrences of at least two lines")
-            cols = [tuple(map(itemgetter(i), run)) for i in range(k)]
-            if not ({*map(type, itertools.chain.from_iterable(cols))} <= {int}
-                    and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
-                raise _not_increasing(run)
+            if len({*map(len, cols)}) != 1:
+                raise ValueError("the columns of a run differ in length")
+            if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+                raise _not_increasing(tuple(zip(*cols)))
             # checked before the table is touched: an index of -1 would wrap around it
-            if min(cols[0]) < 0 or max(cols[-1]) >= n:
+            if min(cols[0], default=0) < 0 or max(cols[-1], default=-1) >= n:
                 raise ValueError("block indices out of range")
             for a, b in itertools.combinations(cols, 2):
                 positions = map(add, map(mul, a, itertools.repeat(n)), b)
                 any(map(setitem, itertools.repeat(seen), positions, itertools.repeat(1)))
-            pairs += len(run) * comb(k, 2)
+            pairs += len(cols[0]) * comb(k, 2)
             through.setdefault(k, Counter()).update(itertools.chain.from_iterable(cols))
         if seen.count(1) != pairs:
             # also catches a block listed twice
@@ -249,11 +276,15 @@ class AbstractIncidence:
         signature = [()] * n
         for k in sorted(through):
             for u, count in through[k].items():
-                signature[u] += (k,) * count
+                signature[u] += ((k, count),)
         self.num_lines = n
-        self.blocks = blocks
+        self.runs = runs
         self.signature = signature
         self._pair = None
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(itertools.chain.from_iterable(zip(*cols) for cols in self.runs))
 
     @property
     def pair(self) -> list:
@@ -261,9 +292,12 @@ class AbstractIncidence:
             n = self.num_lines
             # a row of C ints holds no int objects for block indices above 256
             pair = [array("i", [-1]) * n for _ in range(n)]
-            for k, b in enumerate(self.blocks):
-                for u, v in itertools.combinations(b, 2):
-                    pair[u][v] = pair[v][u] = k
+            first = 0               # index of the run's first block
+            for cols in self.runs:
+                for a, b in itertools.combinations(cols, 2):
+                    for k, u, v in zip(itertools.count(first), a, b):
+                        pair[u][v] = pair[v][u] = k
+                first += len(cols[0])
             self._pair = pair
         return self._pair
 
@@ -296,7 +330,10 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
     """
     if X.num_lines != Y.num_lines:
         return False
-    if sorted(len(b) for b in X.blocks) != sorted(len(b) for b in Y.blocks):
+    # block sizes, with a trailing 0 read by the index -1 of an unshared pair
+    size_x = [len(cols) for cols in X.runs for _ in cols[0]] + [0]
+    size_y = [len(cols) for cols in Y.runs for _ in cols[0]] + [0]
+    if sorted(size_x) != sorted(size_y):
         return False
     sig_x, sig_y = X.signature, Y.signature
     if sorted(sig_x) != sorted(sig_y):
@@ -304,15 +341,14 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
 
     n = X.num_lines
     pair_x, pair_y = X.pair, Y.pair
-    # block sizes, with a trailing 0 read by the index -1 of an unshared pair
-    size_x = [len(b) for b in X.blocks] + [0]
-    size_y = [len(b) for b in Y.blocks] + [0]
-    # map most-constrained lines first
-    order = sorted(range(n), key=lambda i: (-len(sig_x[i]), sig_x[i]))
+    # map most-constrained lines first: most blocks, then the ascending list
+    # of block sizes, which the pairs (size, -count) order alike
+    order = sorted(range(n), key=lambda i: (-sum(c for _, c in sig_x[i]),
+                                            [(k, -c) for k, c in sig_x[i]]))
     mapping = [-1] * n
     used = [False] * n
-    image = [-1] * len(X.blocks)      # X block -> Y block
-    preimage = [-1] * len(Y.blocks)
+    image = [-1] * (len(size_x) - 1)      # X block -> Y block
+    preimage = [-1] * (len(size_y) - 1)
 
     def extend(pos: int) -> bool:
         if pos == n:

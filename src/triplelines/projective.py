@@ -73,7 +73,8 @@ class _Homogeneous:
                 and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.field.key(), self._key))
+        # __eq__ tells points from lines and fields apart
+        return hash(self._key)
 
     def __lt__(self, other) -> bool:
         return self._key < other._key

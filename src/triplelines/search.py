@@ -454,7 +454,9 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
 
     The tree below the fixed lines has one branch per first chosen candidate.
     Branches run here with the remaining budget, or on worker processes; a
-    worker result that overruns the remaining budget is recomputed here.
+    worker result that overruns the remaining budget is recomputed here. The
+    workers get only the branches whose first line passes the symmetry test;
+    the others visit no node and add nothing to the merge.
     Results merge in branch order in both modes, so both visit the same nodes.
     """
     plane = Plane.of(cfg.field)
@@ -489,19 +491,25 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     quota = 1 if cfg.target is not None else 4 * WITNESS_CAP
     best, witness_ids, nodes, passes = -1, [], 1, []
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
-    branches = len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1
+    branches = range(len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1)
     executor = None
     if cfg.threads > 1:
+        # a branch whose first line fails the symmetry test visits no node, so
+        # it is not sent; a first line that is a leaf is entered without the test
+        if cfg.s - len(searcher.root[0]) > 1:
+            root_gaps = searcher.guard - searcher.rep
+            branches = [first for first in branches
+                        if (root_gaps + searcher.delta(first)) & searcher.guard == 0]
         # imported here: the pool modules add ~2.5 MB of RSS (CPython 3.11,
         # Linux), which runs that start no worker need not carry
         from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=min(cfg.threads, branches))
+        executor = ProcessPoolExecutor(max_workers=min(cfg.threads, len(branches) or 1))
     try:
         for t in () if budget_hit else targets:
-            futures = [executor.submit(_pool_branch, cfg, use_frame, first, t, quota)
-                       for first in range(branches)] if executor else []
+            futures = {first: executor.submit(_pool_branch, cfg, use_frame, first, t, quota)
+                       for first in branches} if executor else {}
             pass_best, pass_ids, pass_start = -1, [], nodes
-            for first in range(branches):
+            for first in branches:
                 remaining = cfg.max_nodes - nodes
                 result = futures[first].result() if futures else None
                 if result is None or result[2] > remaining:

@@ -4,16 +4,18 @@ The group (Z/p)^2 models the p-torsion points of a plane cubic: three
 distinct points are collinear exactly when they sum to zero, and for p >= 5
 the tangent at a nonzero point X meets the group again at -2X. Dualizing
 gives p^2 lines whose triple points are the secant blocks and whose double
-points are the tangent pairs. The model's blocks are the blocks of that dual,
-written over the point positions, and AbstractIncidence checks them; the
+points are the tangent pairs. The model keeps the blocks of that dual by
+column, over the point positions: three columns for the secant blocks and
+two for the tangent pairs, which AbstractIncidence checks as they are; the
 counts read from it are cross-checked against the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
-from operator import gt
+from operator import gt, itemgetter
 from typing import NamedTuple
 
 from .bounds import schoenheim_u3
@@ -25,43 +27,54 @@ from .incidence import AbstractIncidence, check_identity
 class TorsionModel(NamedTuple):
     """The group (Z/p)^2 with its blocks, written over point positions.
 
-    Secant blocks are tuples (P, Q, R) with P < Q < R and tangent pairs are
-    tuples (X, Y) with X < Y, so both pass to AbstractIncidence as they are.
+    `secant` holds the array('i') columns (P, Q, R) of the secant blocks,
+    one entry per block, with P < Q < R in lexicographic order; `tangent`
+    holds the columns (X, Y) of the tangent pairs, with X < Y. Both are runs
+    as AbstractIncidence.from_runs takes them.
     """
 
     p: int
     points: tuple                 # all pairs (x, y) over Z/p, at position x*p + y
-    secant_blocks: tuple          # (P, Q, R), P < Q < R, P+Q+R = 0
-    tangent_pairs: tuple          # {X, -2X} as (min, max), X != 0 (empty for p = 3)
+    secant: tuple                 # columns (P, Q, R): P < Q < R, P+Q+R = 0
+    tangent: tuple                # columns (X, Y): {X, -2X} as (min, max), X != 0 (empty for p = 3)
     special_case: bool            # p = 3: tangent relation degenerates
 
     @property
     def num_lines(self) -> int:
-        return len(self.secant_blocks) + len(self.tangent_pairs)
+        return len(self.secant[0]) + len(self.tangent[0])
 
 
 def torsion_model(p: int) -> TorsionModel:
     """Blocks and tangent pairs of the p-torsion group (Z/p)^2.
 
-    Each secant block is generated once, as the tuple (P, Q, R) with
+    Each secant block is generated once, as the entry (P, Q, R) with
     P < Q < R = -P-Q, so the blocks come out in lexicographic order.
     """
     if not is_prime(p) or p == 2:
         raise NonPrime(f"p = {p} is not an odd prime")
     points = tuple(itertools.product(range(p), repeat=2))
     q = p * p
-    # every block holds these int objects, not fresh ones for positions above 256
-    position = list(range(q))
-    # per y, the position of -P-Q for P = (0, y) and every Q, listed twice: for
-    # P = (x, y) that row is rotated by x*p, as Q -> Q + x*p adds x to Q's x
-    minus = [[position[(-u) % p * p + (-y - v) % p] for u, v in points] * 2
-             for y in range(p)]
-    blocks = []
+    # per y, at position w*p + v: the position of (w, -y-v)
+    across = [array("i", [w * p + (-y - v) % p for w, v in points]) for y in range(p)]
+    positions = array("i", range(q))
+    P_col, Q_col, R_col = secant = array("i"), array("i"), array("i")
     for P, (x, y) in enumerate(points):
-        Q = position[P + 1:]
-        R = minus[y][P + 1 + x * p:q + x * p]
-        blocks.extend(itertools.compress(zip(itertools.repeat(position[P]), Q, R),
-                                         map(gt, R, Q)))
+        # Q = (u, v) > P runs row by row, and R = -P-Q lies in row w = -x-u:
+        # R > Q for the whole row when w > u, for none of it when w < u, and
+        # element by element when w = u
+        for u in range(x, p):
+            w = (-x - u) % p
+            if w < u:
+                continue
+            v = y + 1 if u == x else 0
+            Q = positions[u * p + v:u * p + p]
+            R = across[y][w * p + v:w * p + p]
+            if w == u:
+                keep = bytes(map(gt, R, Q))
+                Q, R = itertools.compress(Q, keep), itertools.compress(R, keep)
+            Q_col.extend(Q)
+            R_col.extend(R)
+        P_col.extend(itertools.repeat(P, len(Q_col) - len(P_col)))
     pairs = []
     if p >= 5:
         # X -> -2X has no fixed point and no 2-cycle (3X != 0), so each pair
@@ -70,7 +83,8 @@ def torsion_model(p: int) -> TorsionModel:
             Y = (-2 * x) % p * p + (-2 * y) % p
             pairs.append((X, Y) if X < Y else (Y, X))
         pairs.sort()
-    return TorsionModel(p, points, tuple(blocks), tuple(pairs), special_case=(p == 3))
+    tangent = tuple(array("i", map(itemgetter(i), pairs)) for i in range(2))
+    return TorsionModel(p, points, secant, tangent, special_case=(p == 3))
 
 
 def torsion_dual(model: TorsionModel) -> AbstractIncidence:
@@ -83,10 +97,13 @@ def torsion_dual(model: TorsionModel) -> AbstractIncidence:
     """
     n = len(model.points)
     try:
-        dual = AbstractIncidence(n, model.secant_blocks + model.tangent_pairs)
+        dual = AbstractIncidence.from_runs(n, (model.secant, model.tangent))
     except ValueError as exc:
         raise RuntimeError(f"torsion model is not a partial linear space: {exc}") from exc
-    if not check_identity(n, Counter(map(len, dual.blocks))):
+    sizes = Counter()
+    for cols in dual.runs:
+        sizes[len(cols)] += len(cols[0])
+    if not check_identity(n, sizes):
         raise RuntimeError("torsion model leaves a point pair in no block")
     return dual
 
@@ -124,13 +141,14 @@ def torsion_dual_counts(model: TorsionModel | int) -> TorsionDualCounts:
             "p = 3 degenerates (the triple-point count (p^2-1)(p^2-2)/6 is not "
             "an integer and -2X = X); this is the nine-point dozen-line special case")
     # dual points on the dual line of X: the blocks through X; 0 is at position 0
-    through_zero, *through_nonzero = map(len, torsion_dual(model).signature)
+    through_zero, *through_nonzero = (sum(map(itemgetter(1), sig))
+                                      for sig in torsion_dual(model).signature)
     if len(set(through_nonzero)) != 1:
         raise RuntimeError("nonzero torsion points see different line counts")
 
     q = p ** 2
-    t3 = len(model.secant_blocks)
-    t2 = len(model.tangent_pairs)
+    t3 = len(model.secant[0])
+    t2 = len(model.tangent[0])
     u3 = schoenheim_u3(q)
     return TorsionDualCounts(
         p=p, lines=q, t3=t3, t2=t2,

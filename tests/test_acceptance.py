@@ -179,9 +179,9 @@ def test_criterion_6_torsion_construction():
     m7 = torsion_model(7)
     d7 = torsion_dual_counts(7)
     elapsed = time.perf_counter() - start
-    ok = (len(m5.secant_blocks) == 92 and len(m5.tangent_pairs) == 24
+    ok = (len(m5.secant[0]) == 92 and len(m5.tangent[0]) == 24
           and m5.num_lines == 116
-          and len(m7.secant_blocks) == 376 and len(m7.tangent_pairs) == 48
+          and len(m7.secant[0]) == 376 and len(m7.tangent[0]) == 48
           and d5.identity_holds and 3 * d5.t3 + d5.t2 == 300
           and d5.points_on_dual_of_zero == 12
           and d5.points_on_dual_of_nonzero == 13

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from array import array
 from collections import Counter
 
 import pytest
@@ -279,7 +280,8 @@ def test_remove_line_only_touches_removed_incidences(gf5, rng):
 # ---------------------------------------------------------------------------
 
 def _assert_matches_recount(ab):
-    """`pair` and `signature` against a recount from the blocks, one by one."""
+    """`pair`, `signature` and the columns against a recount from the
+    blocks, one by one."""
     holding = {}
     through = [[] for _ in range(ab.num_lines)]
     for k, b in enumerate(ab.blocks):
@@ -289,7 +291,9 @@ def _assert_matches_recount(ab):
             through[u].append(len(b))
     for u, v in itertools.product(range(ab.num_lines), repeat=2):
         assert [ab.pair[u][v]] == holding.get((u, v), [-1])
-    assert ab.signature == [tuple(sorted(sizes)) for sizes in through]
+    assert ab.signature == [tuple(sorted(Counter(sizes).items())) for sizes in through]
+    assert AbstractIncidence(ab.num_lines, ab.blocks).blocks == ab.blocks
+    assert all(type(c) is array and c.typecode == "i" for cols in ab.runs for c in cols)
 
 
 def test_abstract_blocks_are_partial_linear(gf5, rng):
@@ -345,6 +349,7 @@ def test_abstract_blocks_are_partial_linear(gf5, rng):
     pytest.param(((-1, 0, 1),), "out of range", id="index-minus-one"),
     pytest.param(((0, 1, 4),), "out of range", id="index-num-lines"),
     pytest.param(((0, 1, 2), (2, 4)), "out of range", id="index-num-lines-in-a-later-run"),
+    pytest.param(((0, 2 ** 40),), "out of range", id="index-beyond-a-c-int"),
     pytest.param(((0, 3), frozenset({0, 1, 2})), "strictly increasing tuple", id="frozenset"),
     pytest.param(((0, 3), (0, 2, 1)), "strictly increasing tuple", id="unsorted-tuple"),
     pytest.param(((0, 1, 2), (3, 0)), "strictly increasing tuple", id="unsorted-in-a-later-run"),
@@ -356,6 +361,55 @@ def test_abstract_blocks_are_partial_linear(gf5, rng):
 def test_abstract_rejects_bad_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
         AbstractIncidence(4, blocks)
+
+
+def _columns(blocks: tuple) -> tuple:
+    """The blocks as from_runs takes them: per run of one size, its array('i')
+    columns."""
+    return tuple(tuple(array("i", col) for col in zip(*run))
+                 for _, run in itertools.groupby(blocks, len))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    pytest.param(((0, 3), (2, 1)), r"block \(2, 1\) is not a strictly increasing tuple",
+                 id="decreasing-block"),
+    pytest.param(((0, 1, 2), (0, 4)), "out of range", id="index-out-of-range"),
+    pytest.param(((0, 1, 2), (2, 3), (0, 2)), "more than one block", id="pair-held-twice"),
+])
+def test_tuples_and_columns_are_rejected_alike(blocks, message):
+    errors = []
+    for build in (lambda: AbstractIncidence(4, blocks),
+                  lambda: AbstractIncidence.from_runs(4, _columns(blocks))):
+        with pytest.raises(ValueError, match=message) as caught:
+            build()
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("runs, message", [
+    pytest.param(((array("i", [0]), (1,)),), "array", id="tuple-column"),
+    pytest.param(((array("i", [0]), array("l", [1])),), "array", id="long-column"),
+    pytest.param(((array("i", [0, 1]), array("i", [2])),), "differ in length",
+                 id="columns-of-two-lengths"),
+    pytest.param(((array("i", [0]),),), "at least two lines", id="one-column"),
+])
+def test_from_runs_rejects_bad_columns(runs, message):
+    with pytest.raises(ValueError, match=message):
+        AbstractIncidence.from_runs(4, runs)
+
+
+def test_from_runs_matches_the_tuple_input():
+    """Columns keep their runs (an empty one too) and give the structure
+    that the same blocks as tuples give."""
+    blocks = ((0, 1, 2), (3, 4), (0, 3, 5), (1, 4, 5), (2, 5))
+    runs = _columns(blocks) + ((array("i"), array("i")),)
+    X, Y = AbstractIncidence(6, blocks), AbstractIncidence.from_runs(6, runs)
+    assert Y.runs is runs and Y.blocks == X.blocks == blocks
+    assert Y.signature == X.signature == [((3, 2),), ((3, 2),), ((2, 1), (3, 1)),
+                                          ((2, 1), (3, 1)), ((2, 1), (3, 1)),
+                                          ((2, 1), (3, 2))]
+    assert [list(row) for row in Y.pair] == [list(row) for row in X.pair]
+    assert isomorphic(X, Y)
 
 
 def test_isomorphic_reflexive_and_relabelling(gf2, rng):

@@ -176,3 +176,13 @@ def test_dot_is_symmetric_in_structure():
     P = ProjPoint(F, (1, 2, 1))
     L = ProjLine(F, (1, 1, 0))
     assert dot(P, L) == dot(ProjPoint(F, L.coords), as_line(P))
+
+
+def test_hash_follows_the_normalized_coordinates():
+    F = make_field(5)
+    P, Q = ProjPoint(F, (1, 2, 3)), ProjPoint(F, (2, 4, 1))     # Q = 2P
+    assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+    L = as_line(P)
+    assert L != P and P != L and len({P, L}) == 2
+    # the same coordinates over another field name another point
+    assert P != ProjPoint(make_field(7), (1, 2, 3))

@@ -1,5 +1,6 @@
 """Search correctness: oracles, published optima, soundness, pruning honesty."""
 
+import concurrent.futures
 import itertools
 import random
 from collections import Counter
@@ -254,6 +255,47 @@ def test_spawned_pool_matches_sequential():
     # themselves; the report must not depend on the start method, and the
     # pool must leave no worker behind
     assert run_python(_SPAWNED_SEARCH).split() == ["True", "12", "9287", "0"]
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each submission at once
+    and records the first line of each branch sent."""
+
+    sent: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, cfg, use_frame, first, *args):
+        self.sent.append(first)
+        future = concurrent.futures.Future()
+        future.set_result(fn(cfg, use_frame, first, *args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("q, s, live, passes", [
+    (7, 10, 6, 2),      # 6 of the 48 first lines pass the symmetry test
+    (5, 5, 27, 1),      # the first line is a leaf: all 27 branches are sent
+])
+def test_pool_gets_only_the_live_first_lines(monkeypatch, q, s, live, passes):
+    F = make_field(q)
+    monkeypatch.setattr(_InlinePool, "sent", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    par = max_triple_search(SearchConfig(field=F, s=s, threads=2))
+    assert len(_InlinePool.sent) == live * passes
+    assert len(set(_InlinePool.sent)) == live
+    seq = max_triple_search(SearchConfig(field=F, s=s, threads=1))
+    assert par._replace(witnesses=[]) == seq._replace(witnesses=[])
+    assert ([arrangement_to_json(w) for w in par.witnesses]
+            == [arrangement_to_json(w) for w in seq.witnesses])
+    # every branch not sent visits no node
+    searcher = search._Searcher(SearchConfig(field=F, s=s), Plane.of(F), True)
+    branches = len(searcher.candidates) - (s - 4) + 1
+    for first in set(range(branches)) - set(_InlinePool.sent):
+        assert searcher.branch(first, 10 ** 9, 0, 1) == (-1, [], 0, False)
 
 
 # GF(5), s=11, target 17 is refuted in 720 nodes: the root, then 248 in the

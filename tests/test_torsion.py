@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,19 +11,14 @@ import triplelines.torsion
 from triplelines.certificates import dual_hesse_from_pg23
 from triplelines.errors import NonPrime, UnsupportedPrime
 from triplelines.incidence import abstract, isomorphic
-from triplelines.torsion import (
-    TorsionModel,
-    torsion_dual,
-    torsion_dual_counts,
-    torsion_model,
-)
+from triplelines.torsion import torsion_dual, torsion_dual_counts, torsion_model
 
 
 def test_p5_counts():
     m = torsion_model(5)
     assert len(m.points) == 25
-    assert len(m.secant_blocks) == 92
-    assert len(m.tangent_pairs) == 24
+    assert len(m.secant[0]) == 92
+    assert len(m.tangent[0]) == 24
     assert m.num_lines == 116
     assert not m.special_case
 
@@ -30,8 +26,8 @@ def test_p5_counts():
 def test_p3_special_case():
     m = torsion_model(3)
     assert len(m.points) == 9
-    assert len(m.secant_blocks) == 12
-    assert len(m.tangent_pairs) == 0
+    assert len(m.secant[0]) == 12
+    assert len(m.tangent[0]) == 0
     assert m.special_case
     torsion_dual(m)
 
@@ -39,8 +35,8 @@ def test_p3_special_case():
 def test_p7_counts_match_formulas():
     m = torsion_model(7)
     q = 49
-    assert len(m.secant_blocks) == (q - 1) * (q - 2) // 6 == 376
-    assert len(m.tangent_pairs) == q - 1 == 48
+    assert len(m.secant[0]) == (q - 1) * (q - 2) // 6 == 376
+    assert len(m.tangent[0]) == q - 1 == 48
     assert m.num_lines == (q + 4) * (q - 1) // 6
 
 
@@ -55,52 +51,56 @@ def test_linearity_p5_and_p7():
         m = torsion_model(p)
         dual = torsion_dual(m)
         assert dual.num_lines == p * p and len(dual.blocks) == m.num_lines
+        # the dual holds the model's columns, not copies
+        assert all(a is b for a, b in zip(dual.runs, (m.secant, m.tangent)))
 
 
 def test_p19_dual_stays_small():
-    """Blocks as index tuples sharing their int objects, checked by column
-    without a pair-block matrix, keep the p = 19 model and dual (361 lines,
-    21,900 blocks) under 4 MiB."""
-    tracemalloc.start()
-    try:
-        torsion_dual(torsion_model(19))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    """Blocks kept as array('i') columns, which the dual shares with the
+    model and checks without a pair-block matrix, keep the p = 19 model and
+    dual (361 lines, 21,900 blocks), and the counts read from them, under
+    1 MiB."""
+    for build in (lambda: torsion_dual(torsion_model(19)), lambda: torsion_dual_counts(19)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_p3_dual_is_the_dual_hesse_structure():
     assert isomorphic(torsion_dual(torsion_model(3)), abstract(dual_hesse_from_pg23()))
 
 
+def _appended(columns: tuple, *block: int) -> tuple:
+    """Copies of a run's columns with one more block."""
+    return tuple(col + array("i", [u]) for col, u in zip(columns, block))
+
+
 def test_linearity_detects_corruption():
     m = torsion_model(5)
-    extra = (0, 1, 4)                         # already covered pairs
-    corrupted = TorsionModel(m.p, m.points, m.secant_blocks + (extra,),
-                             m.tangent_pairs, m.special_case)
-    with pytest.raises(RuntimeError):
+    corrupted = m._replace(secant=_appended(m.secant, 0, 1, 4))     # already covered pairs
+    with pytest.raises(RuntimeError, match="more than one block"):
         torsion_dual(corrupted)
-    truncated = TorsionModel(m.p, m.points, m.secant_blocks[:-1],
-                             m.tangent_pairs, m.special_case)
-    with pytest.raises(RuntimeError):
+    truncated = m._replace(secant=tuple(col[:-1] for col in m.secant))
+    with pytest.raises(RuntimeError, match="in no block"):
         torsion_dual(truncated)
 
 
 def test_linearity_rejects_a_pair_covered_many_times():
     m = torsion_model(5)
-    extra = m.secant_blocks[0]
-    repeated = TorsionModel(m.p, m.points, m.secant_blocks + (extra,) * 300,
-                            m.tangent_pairs, m.special_case)
-    with pytest.raises(RuntimeError):
+    repeated = m._replace(secant=tuple(col + array("i", [col[0]]) * 300 for col in m.secant))
+    with pytest.raises(RuntimeError, match="more than one block"):
         torsion_dual(repeated)
 
 
 def test_linearity_rejects_a_point_outside_the_group():
     m = torsion_model(5)
-    stray = TorsionModel(m.p, m.points, m.secant_blocks[:-1] + ((0, 25),),
-                         m.tangent_pairs, m.special_case)
-    with pytest.raises(RuntimeError):
+    stray = m._replace(secant=tuple(col[:-1] for col in m.secant),
+                       tangent=_appended(m.tangent, 0, 25))
+    with pytest.raises(RuntimeError, match="out of range"):
         torsion_dual(stray)
 
 
@@ -123,8 +123,8 @@ def test_model_matches_deduplicated_enumeration(p):
 
     m = torsion_model(p)
     assert m.points == tuple(points)
-    assert m.secant_blocks == tuple(positions(blocks))
-    assert m.tangent_pairs == tuple(positions(pairs))
+    assert tuple(zip(*m.secant)) == tuple(positions(blocks))
+    assert tuple(zip(*m.tangent)) == tuple(positions(pairs))
 
 
 def test_dual_counts_p5():
@@ -177,8 +177,7 @@ def test_per_point_counts_by_enumeration():
         q = p * p
         zero = 0
         through = {x * p + y: 0 for x, y in m.points}
-        for group in m.secant_blocks + m.tangent_pairs:
-            for X in group:
-                through[X] += 1
+        for X in itertools.chain(*m.secant, *m.tangent):
+            through[X] += 1
         assert through[zero] == (q - 1) // 2
         assert {v for X, v in through.items() if X != zero} == {(q + 1) // 2}
