@@ -43,10 +43,11 @@ any arrangement containing four lines in general position is projectively
 equivalent to one through that frame, and the only arrangements without such
 a quadruple are pencils and near-pencils, whose triple counts are folded in
 analytically. The collineations that map the frame onto itself (24
-projectivities times the k powers of Frobenius, frame_stabilizer) permute
-the other lines, and the search enters only subsets that are the lex-least
-of their orbit (McKay, "Isomorph-free exhaustive generation", 1998): a child
-is cut when some g maps its chosen candidate positions X to a set whose
+projectivities times the k powers of Frobenius,
+projective.frame_stabilizer) permute the other lines, and the search
+enters only subsets that are the lex-least of their orbit (McKay,
+"Isomorph-free exhaustive generation", 1998): a child is cut when some g
+maps its chosen candidate positions X to a set whose
 sorted positions come first. Every extension of a cut prefix would be cut
 too, and no prefix of an orbit's lex-least member ever is. As no bound
 cuts a prefix of a subset that reaches the target, and the triple count is
@@ -69,30 +70,40 @@ and the child is cut when (gaps + delta(c)) & guard is nonzero.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bounds import schoenheim_u3
+from .errors import FieldTooLarge
 from .field import FieldSpec
 from .incidence import AbstractIncidence, Arrangement, abstract, isomorphic, profile
-from .projective import (as_line, enumerate_lines, line_point_indices, normalized_key,
-                         triple_position)
+from .projective import (FRAME_COORDS, as_line, enumerate_lines, frame_stabilizer,
+                         line_point_indices, triple_position)
 
 
 class Plane:
-    """Cached incidence data of PG(2,q): lines as tuples of point indices.
+    """Cached incidence data of PG(2,q): the lines, and for each line the
+    positions of its points as one array('H') row.
 
     The incidence comes from the parametrization of each line over the field
-    tables (projective.line_point_indices): O(q^3) index lookups, with no
-    point-line dot products.
+    tables (projective.line_point_indices): whole rows of table lookups, with
+    no point-line dot products. Point and line positions fit in 'H' while
+    q^2 + q + 1 <= 65,535, that is q <= 255; a larger field raises
+    FieldTooLarge before any line is built.
     """
 
     _cache: dict = {}
 
     def __init__(self, field: FieldSpec):
+        n = field.order ** 2 + field.order + 1
+        try:
+            array("H", [n])                    # positions run up to n - 1
+        except OverflowError:
+            raise FieldTooLarge(f"PG(2,{field.order}) has {n} lines, more than 16-bit "
+                                f"positions can index; planes go up to q = 255") from None
         self.field = field
         self.lines = enumerate_lines(field)
         self.line_points = line_point_indices(field)
@@ -164,8 +175,6 @@ class SearchReport(NamedTuple):
         return ", ".join(bits)
 
 
-FRAME_COORDS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-
 # witness classes kept per report; the search keeps four times as many raw witnesses
 WITNESS_CAP = 10
 
@@ -183,67 +192,6 @@ def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
     visit. Their one point of multiplicity s or s-1 >= 4 counts for atleast3 only.
     """
     return int(metric == "atleast3") if q + 1 >= s - 1 else None
-
-
-def frame_stabilizer(plane: Plane) -> list[tuple[int, ...]]:
-    """The collineations of PG(2,q) that map the frame lines x, y, z, x+y+z
-    onto themselves, as permutations of the line ids, identity first.
-
-    The 24 projectivities permuting the frame lines (S4) act on line
-    coordinates as u -> uM, where M is an integer matrix whose rows are
-    +-(frame vectors); the field automorphisms e -> e^p fix the frame too,
-    so the group has order 24*k. S4 is closed from two generators (a
-    transposition and a 4-cycle) computed over the field tables; Frobenius
-    commutes with S4, whose matrices have prime-field entries, so the group
-    is S4 times the powers of Frobenius.
-    """
-    F = plane.field
-    q, add, mul = F.order, F.add_table, F.mul_table
-    keys = [L.key() for L in plane.lines]
-
-    def permutation(image) -> tuple[int, ...]:
-        return tuple(triple_position(q, normalized_key(F, *image(u))) for u in keys)
-
-    def linear(rows):
-        m = [[x % F.p for x in row] for row in rows]     # prime-field indices
-        return lambda u: tuple(
-            add[add[mul[u[0]][m[0][j]]][mul[u[1]][m[1][j]]]][mul[u[2]][m[2][j]]]
-            for j in range(3))
-
-    # itemgetter(*h)(g) is the composite g.h, i -> g[h[i]]
-    gens = [itemgetter(*permutation(linear(((0, 1, 0), (1, 0, 0), (0, 0, 1))))),  # x <-> y
-            # x -> y -> z -> x+y+z -> x, since (x+y+z)M = -x
-            itemgetter(*permutation(linear(((0, 1, 0), (0, 0, 1), (-1, -1, -1)))))]
-    identity = tuple(range(len(keys)))
-    s4, frontier = {identity}, [identity]
-    while frontier and len(s4) <= 24:
-        new = []
-        for g in frontier:
-            for compose in gens:
-                gh = compose(g)
-                if gh not in s4:
-                    s4.add(gh)
-                    new.append(gh)
-        frontier = new
-
-    group = set(s4)
-    if F.k > 1:
-        pth = []                                           # e -> e^p
-        for e in range(q):
-            power = 1
-            for _ in range(F.p):
-                power = mul[power][e]
-            pth.append(power)
-        frob = permutation(lambda u: tuple(pth[e] for e in u))
-        power = identity
-        for _ in range(F.k - 1):
-            power = itemgetter(*frob)(power)
-            compose = itemgetter(*power)
-            group.update(compose(g) for g in s4)
-    if len(group) != 24 * F.k:
-        raise RuntimeError(f"frame stabilizer of PG(2,{q}) has order {len(group)}, "
-                           f"expected {24 * F.k}")
-    return sorted(group)
 
 
 class _Searcher:
@@ -295,7 +243,7 @@ class _Searcher:
         # field j of gaps is len(plane.lines) + 1 bits wide and belongs to
         # group[j + 1]; line id i is bit top - i of a field
         self.top = top = len(plane.lines) - 1
-        group = frame_stabilizer(plane) if use_frame else [()]
+        group = frame_stabilizer(cfg.field) if use_frame else [()]
         self.group_order = len(group)
         self.group = group[1:]
         self.rep = sum(1 << j * (top + 2) for j in range(len(self.group)))  # 1 per field

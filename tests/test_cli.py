@@ -149,6 +149,11 @@ def test_field_above_table_limit_exits_two():
     assert "1031" in res.text
 
 
+def test_search_over_a_plane_beyond_16_bit_positions_exits_two():
+    res = run(["search", "--field", "1021", "--lines", "5", "--max-nodes", "10"])
+    assert res.exit_code == 2 and "PG(2,1021) has 1043463 lines" in res.text
+
+
 def test_search_cli_gf5_seventeen_unreachable():
     res = run(["search", "--field", "5", "--lines", "11", "--target", "17"])
     assert res.exit_code == 1

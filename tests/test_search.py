@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import brute_force_best_triples, run_python
 
 from triplelines import search
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
+from triplelines.errors import FieldTooLarge
 from triplelines.field import make_field, prime_power
 from triplelines.incidence import (
     Arrangement,
@@ -20,19 +22,19 @@ from triplelines.incidence import (
     profile,
 )
 from triplelines.projective import (
+    FRAME_COORDS,
     ProjLine,
     enumerate_lines,
     enumerate_points,
+    frame_stabilizer,
     incident,
     triple_position,
 )
 from triplelines.search import (
-    FRAME_COORDS,
     Plane,
     SearchConfig,
     _Searcher,
     dual_search_seed,
-    frame_stabilizer,
     max_triple_search,
 )
 
@@ -408,7 +410,7 @@ def test_plane_incidence_matches_point_line_scan(p, k):
     F = make_field(p, k)
     plane = Plane.of(F)
     assert plane.lines == enumerate_lines(F)
-    assert plane.line_points == _scanned_line_points(F, plane.lines)
+    assert [tuple(row) for row in plane.line_points] == _scanned_line_points(F, plane.lines)
     assert all(triple_position(F.order, L.key()) == i for i, L in enumerate(plane.lines))
 
 
@@ -424,8 +426,52 @@ def test_plane_structure_gf81():
     assert Counter(p for pts in plane.line_points for p in pts) == \
         {i: q + 1 for i in range(n)}
     sample = random.Random(81).sample(range(n), 8)
-    assert [plane.line_points[i] for i in sample] == \
+    assert [tuple(plane.line_points[i]) for i in sample] == \
         _scanned_line_points(F, [plane.lines[i] for i in sample])
+
+
+def _kept_bytes(build):
+    """The result of build() and the bytes it still holds once built."""
+    tracemalloc.start()
+    try:
+        result = build()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, kept
+
+
+def test_gf27_plane_rows_stay_small(monkeypatch):
+    """Point rows kept in array('H') hold the GF(27) plane, 757 lines with
+    their points, under 256 KiB."""
+    F = make_field(3, 3)
+    monkeypatch.setattr(Plane, "_cache", {})
+    plane, kept = _kept_bytes(lambda: Plane.of(F))
+    assert kept <= 256 << 10
+    assert {row.typecode for row in plane.line_points} == {"H"}
+
+
+def test_gf27_frame_stabilizer_stays_small():
+    """The 72 permutations of the GF(27) frame stabilizer, kept in
+    array('H'), take under 160 KiB."""
+    F = make_field(3, 3)
+    group, kept = _kept_bytes(lambda: frame_stabilizer(F))
+    assert kept <= 160 << 10
+    assert len(group) == 72 and {g.typecode for g in group} == {"H"}
+
+
+def test_plane_beyond_16_bit_positions_is_rejected_before_any_row(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "line_point_indices", built.append)
+    monkeypatch.setattr(search, "enumerate_lines", built.append)
+    monkeypatch.setattr(Plane, "_cache", {})
+    with pytest.raises(FieldTooLarge, match=r"PG\(2,257\) has 66307 lines"):
+        Plane.of(make_field(257))
+    assert built == [] and Plane._cache == {}
+    # q = 251, the largest prime below 256: 63,253 lines, positions fit
+    F = make_field(251)
+    Plane.of(F)
+    assert built == [F, F]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +482,11 @@ def test_plane_structure_gf81():
                                  (3, 2), (2, 4), (5, 2), (3, 3)])
 def test_frame_stabilizer_is_the_collineation_group_of_the_frame(p, k):
     plane = Plane.of(make_field(p, k))
-    group = frame_stabilizer(plane)
+    group = frame_stabilizer(plane.field)
     n = len(plane.lines)
-    assert len(group) == len(set(group)) == 24 * k
-    assert group[0] == tuple(range(n))
+    assert len(group) == len({tuple(g) for g in group}) == 24 * k
+    assert [tuple(g) for g in group] == sorted(tuple(g) for g in group)
+    assert tuple(group[0]) == tuple(range(n))
     assert all(sorted(g) == list(range(n)) for g in group)
     frame = [triple_position(plane.field.order, c) for c in FRAME_COORDS]
     assert [plane.lines[i] for i in frame] == [ProjLine(plane.field, c) for c in FRAME_COORDS]
@@ -462,7 +509,7 @@ def test_packed_symmetry_test_matches_the_images(p, k, rng):
     # computed from the permutations with line id i as bit N-1-i
     plane = Plane.of(make_field(p, k))
     searcher = _Searcher(SearchConfig(field=plane.field, s=8), plane, use_frame=True)
-    group, n = frame_stabilizer(plane), len(plane.lines)
+    group, n = frame_stabilizer(plane.field), len(plane.lines)
 
     def mask(line_ids):
         return sum(1 << n - 1 - i for i in line_ids)
