@@ -8,9 +8,9 @@ verify() recomputes all of it from scratch and reports any mismatch.
 
 TEN_E1 and TEN_E2 are solutions of the paper's case analysis, so their lines
 and labelled points are not typed out here: they are read from the scenario
-recipes in constraints.py, evaluated at the values named below. Their
-published incidence tables stay here as the independent claim that verify()
-checks.
+constructions of constraints.py (`construction`), evaluated at the values
+named below. Their published incidence tables stay here as the independent
+claim that verify() checks.
 
 Certificate catalogue:
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .constraints import _RECIPES, TEN_CASE_B, TEN_E1
+from .constraints import TEN_CASE_B, TEN_E1, construction
 from .errors import IneligibleField, UnknownName
 from .field import FieldElement, FieldSpec, make_field, roots_of
 from .incidence import (
@@ -127,17 +127,16 @@ def _arrangement_lines(A: Arrangement):
     return [(A.labels[i], A.lines[i].coords) for i in range(A.s)], []
 
 
-def _recipe_realization(scenario: str, values: Callable, points: Sequence[str],
-                        renamed: Optional[dict] = None):
-    """Lines L_1, L_2, ... then the recipe's lines, and the published points,
-    all read from one construction of the scenario recipe at values(F, param).
+def _scenario_realization(scenario: str, values: Callable, points: Sequence[str],
+                          renamed: Optional[dict] = None):
+    """The scenario's lines, frame lines first, and the published points, all
+    read from one construction of the scenario at values(F, param).
     `renamed` maps a published point label to the construction's name."""
-    recipe = _RECIPES[scenario]
     renamed = renamed or {}
 
     def build(F: FieldSpec, param):
-        g = recipe.construct(values(F, param), F.one)
-        return ([(label, g[label]) for label in recipe.line_labels],
+        labels, g = construction(scenario, values(F, param), F.one)
+        return ([(label, g[label]) for label in labels],
                 [(label, g[renamed.get(label, label)]) for label in points])
     return build
 
@@ -248,7 +247,7 @@ _register(Certificate(
 _register(Certificate(
     name="TEN_E1", tvec={4: 1, 3: 12, 2: 3}, eligibility=_characteristic(2),
     param=ParamSpec("a", (1, 1, 1), "a^2+a+1 = 0 (a nontrivial cube root of unity)"),
-    build=_recipe_realization(
+    build=_scenario_realization(
         TEN_E1, lambda F, a: {"a": a, "b": a * a, "c": a * a, "d": a},
         ("W", "P_12", "P_13", "P_14", "P_15", "P_24", "P_25", "P_26", "P_34", "P_35",
          "P_36", "P_46", "P_56")),
@@ -257,7 +256,7 @@ _register(Certificate(
 _register(Certificate(
     name="TEN_E2", tvec={3: 13, 2: 6}, eligibility=_characteristic(5),
     # D is the point P_45 = (1:1:1) that L_4, L_5 and L_6 all pass through
-    build=_recipe_realization(
+    build=_scenario_realization(
         TEN_CASE_B, lambda F, param: {"a": F(3), "b": F(1), "c": F(2)},
         ("D", "Z_1", "Z_2", "Z_3", "P_12", "P_13", "P_14", "P_15", "P_23", "P_25",
          "P_26", "P_34", "P_36"),

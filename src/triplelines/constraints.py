@@ -2,13 +2,14 @@
 
 Each scenario fixes a coordinate frame for some of the lines, and its
 construction (frame lines, joins and meets, incidence conditions and
-non-degeneracy pairs) is written once, as a recipe, over any commutative ring.
-Over integer polynomials the recipe gives the scenario's system: each
-prescribed collinearity/concurrency "X on Y" becomes the equation <X, Y> = 0
-and each non-degeneracy group "X off Y, or ..." an inequation group. The
-system is solved over any finite field by enumerating the variables the
-equations do not give outright, but one, which an equation linear in it
-solves. Geometric side conditions that are awkward as polynomials
+non-degeneracy pairs) is written once, as a recipe, over any commutative ring:
+its frame is a function of the scenario's variables that returns the frame
+lines' coefficient triples, such as (a, -a - 1, 1). Over integer polynomials
+the recipe gives the scenario's system: each prescribed collinearity/
+concurrency "X on Y" becomes the equation <X, Y> = 0 and each non-degeneracy
+group "X off Y, or ..." an inequation group. The system is solved over any
+finite field by enumerating the variables the equations do not give
+outright, but one, which an equation linear in it solves. Geometric side conditions that are awkward as polynomials
 (membership of a pencil, a forbidden extra incidence) are post-checks on
 candidate solutions; over a finite field the same recipe drives them and
 realize(). The systems printed in the source paper are kept verbatim as test
@@ -29,18 +30,17 @@ Five scenarios are built in:
   ELEVEN_CASE_II eleven lines, seventeen triple points, that join is not a
                  configuration line; frame x, y, z, x+y+z, ax+by+z.
 
-Two certificates (certificates.py) are realizations of these recipes: TEN_E1
-is the TEN_E1 construction at (a, b, c, d) = (a, a^2, a^2, a) with
-a^2+a+1 = 0 in characteristic 2, and TEN_E2 is the TEN_CASE_B construction at
-(a, b, c) = (3, 1, 2) in characteristic 5.
+Two certificates (certificates.py) are realizations of these recipes, read
+through construction(): TEN_E1 is the TEN_E1 construction at (a, b, c, d) =
+(a, a^2, a^2, a) with a^2+a+1 = 0 in characteristic 2, and TEN_E2 is the
+TEN_CASE_B construction at (a, b, c) = (3, 1, 2) in characteristic 5.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import IdenticalArguments, UnsolvedAssignment
 from .field import FieldElement, FieldSpec, make_field, prime_power
@@ -103,65 +103,44 @@ class ConsequenceReport(NamedTuple):
 # scenario geometry, written once over any commutative ring
 # ---------------------------------------------------------------------------
 
-#: frame lines L_1, L_2, ... as coefficient templates; each coefficient is a
-#: signed sum of scenario variables and integers
-_FRAME_ABCD = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1", "c d 1")
-_FRAME_CASE_B = ("1 0 0", "0 1 0", "0 0 1", "a -a-1 1", "b -b-1 1", "c -c-1 1")
-_FRAME_CASE_II = ("1 0 0", "0 1 0", "0 0 1", "1 1 1", "a b 1")
-
 #: L_5 and L_6 avoid the vertices P_23 and P_13 of the triangle x, y, z
 #: (a, b, c, d nonzero), and L_4, L_5, L_6 are not concurrent
 _NONDEGENERATE_ABCD = ((("P_23", "L_5"),), (("P_13", "L_5"),), (("P_23", "L_6"),),
                        (("P_13", "L_6"),), (("P_45", "L_6"),))
 
 
-def _terms(template: str) -> tuple:
-    """A template such as '0', 'a' or '-a-1' as its signed terms: pairs
-    (negated, variable name or integer)."""
-    return tuple((sign == "-", term if term.isalpha() else int(term))
-                 for sign, term in re.findall(r"([+-]?)(\w+)", template))
+def _frame_abcd(a, b, c, d):
+    return (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (a, b, 1), (c, d, 1)
 
 
-def _coefficient(terms: tuple, values: dict, one):
-    """Parsed template terms evaluated in the ring of `one`."""
-    total = one - one
-    for negated, term in terms:
-        value = values[term] if isinstance(term, str) else one * term
-        total = total - value if negated else total + value
-    return total
-
-
-class _Recipe:
+class _Recipe(NamedTuple):
     """A scenario's construction from its frame, valid over any ring.
 
-    P_ij names the meet of frame lines L_i and L_j. A step (X, U, V) makes X
-    the cross product of U and V: the join of two points or the meet of two
-    lines. A condition (X, Y) says that point X lies on line Y; in order, the
-    conditions are the scenario's equations. Each non-degeneracy group lists
-    pairs (X, Y) of which at least one must have X off Y; in order, the groups
-    are the scenario's inequations. Identities are incidences that hold in the
-    frame for every value of the variables. `lines` are the constructed lines
-    that complete the arrangement. The frame templates are parsed once, into
-    `frame_terms`, and the meets P_ij lead `products`, the steps in order.
+    `frame` maps values of `variables`, in order, to the coefficient triples
+    of the frame lines L_1, L_2, ...; an int coefficient stands for that
+    multiple of the ring's one. P_ij names the meet of L_i and L_j. A step
+    (X, U, V) makes X the cross product of U and V: the join of two points or
+    the meet of two lines. A condition (X, Y) says that point X lies on line
+    Y; in order, the conditions are the scenario's equations. Each
+    non-degeneracy group lists pairs (X, Y) of which at least one must have X
+    off Y; in order, the groups are the scenario's inequations. Identities are
+    incidences that hold in the frame for every value of the variables.
+    `lines` are the constructed lines that complete the arrangement.
     """
 
-    __slots__ = ("frame", "steps", "conditions", "nondegenerate", "lines", "identities",
-                 "frame_terms", "products")
-
-    def __init__(self, frame: tuple, steps: tuple, conditions: tuple, nondegenerate: tuple,
-                 lines: tuple, identities: tuple = ()):
-        self.frame, self.steps, self.conditions = frame, steps, conditions
-        self.nondegenerate, self.lines, self.identities = nondegenerate, lines, identities
-        n = len(frame)
-        meets = tuple((f"P_{i}{j}", f"L_{i}", f"L_{j}")
-                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        self.frame_terms = tuple(tuple(map(_terms, row.split())) for row in frame)
-        self.products = meets + steps
+    variables: tuple
+    frame: Callable
+    steps: tuple
+    conditions: tuple
+    nondegenerate: tuple
+    lines: tuple
+    identities: tuple = ()
 
     @property
     def line_labels(self) -> tuple:
         """The frame lines L_1, L_2, ... followed by the constructed lines."""
-        return tuple(f"L_{i}" for i in range(1, len(self.frame) + 1)) + self.lines
+        n = len(self.frame(*(0,) * len(self.variables)))   # the same at any values
+        return tuple(f"L_{i}" for i in range(1, n + 1)) + self.lines
 
     def construct(self, values: dict, one) -> dict:
         """Coordinate triples of every named line and point, in the ring of `one`.
@@ -169,9 +148,12 @@ class _Recipe:
         Raises IdenticalArguments when a cross product vanishes, that is when
         a step joins two equal points or meets two equal lines.
         """
-        g = {f"L_{i}": tuple(_coefficient(t, values, one) for t in row)
-             for i, row in enumerate(self.frame_terms, 1)}
-        for name, u, v in self.products:
+        frame = self.frame(*(values[v] for v in self.variables))
+        g = {f"L_{i}": tuple(one * c if isinstance(c, int) else c for c in row)
+             for i, row in enumerate(frame, 1)}
+        meets = [(f"P_{i}{j}", f"L_{i}", f"L_{j}")
+                 for i, j in itertools.combinations(range(1, len(frame) + 1), 2)]
+        for name, u, v in itertools.chain(meets, self.steps):
             w = cross(g[u], g[v])
             if all(c.is_zero() for c in w):
                 raise IdenticalArguments(f"{name}: {u} and {v} coincide")
@@ -180,7 +162,7 @@ class _Recipe:
 
 
 _TEN_E1_RECIPE = _Recipe(
-    _FRAME_ABCD,
+    ("a", "b", "c", "d"), _frame_abcd,
     # the four lines through the 4-fold point W, each through a forced
     # collinear triple of frame points, and W itself
     steps=(("M_1", "P_12", "P_34"), ("M_2", "P_13", "P_25"),
@@ -194,7 +176,7 @@ _RECIPES = {
     TEN_E1: _TEN_E1_RECIPE,
     TEN_CASE_A: _TEN_E1_RECIPE,
     ELEVEN_CASE_I: _Recipe(
-        _FRAME_ABCD,
+        ("a", "b", "c", "d"), _frame_abcd,
         # the same four forced triples plus the one on the extra line T_5
         steps=(("T_1", "P_12", "P_34"), ("T_2", "P_13", "P_25"), ("T_3", "P_14", "P_26"),
                ("T_4", "P_15", "P_24"), ("T_5", "P_16", "P_23")),
@@ -203,7 +185,9 @@ _RECIPES = {
         nondegenerate=_NONDEGENERATE_ABCD,
         lines=("T_1", "T_2", "T_3", "T_4", "T_5")),
     TEN_CASE_B: _Recipe(
-        _FRAME_CASE_B,
+        ("a", "b", "c"),
+        lambda a, b, c: ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                         (a, -a - 1, 1), (b, -b - 1, 1), (c, -c - 1, 1)),
         steps=(("M_1", "P_14", "P_25"), ("M_2", "P_12", "P_34"), ("M_3", "P_15", "P_23"),
                ("M_4", "P_13", "P_26"), ("Z_1", "M_3", "M_4"), ("Z_2", "M_2", "M_4"),
                ("Z_3", "M_2", "M_3")),
@@ -214,7 +198,8 @@ _RECIPES = {
                        (("P_45", "L_1"),), (("P_46", "L_1"),), (("P_56", "L_1"),)),
         lines=("M_1", "M_2", "M_3", "M_4")),
     ELEVEN_CASE_II: _Recipe(
-        _FRAME_CASE_II,
+        ("a", "b"),
+        lambda a, b: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (a, b, 1)),
         steps=(("M_1", "P_12", "P_34"), ("M_2", "P_15", "P_23"),
                ("N_1", "P_14", "P_25"), ("N_2", "P_24", "P_35"),
                ("W_1", "M_1", "M_2"), ("W_2", "N_1", "N_2"),
@@ -283,6 +268,14 @@ _POST_CHECKS = {
 }
 
 
+def construction(name: str, values: dict, one) -> tuple[tuple, dict]:
+    """A scenario's line labels (frame lines first) and the coordinate triples
+    of every named line and point at `values` of its variables, in the ring of
+    `one`. Raises IdenticalArguments when a join or meet degenerates."""
+    recipe = _RECIPES[name]
+    return recipe.line_labels, recipe.construct(values, one)
+
+
 def build_system(name: str) -> ConstraintSystem:
     """A scenario's system, expanded from its recipe over integer polynomials.
 
@@ -293,9 +286,8 @@ def build_system(name: str) -> ConstraintSystem:
     if name not in _RECIPES:
         raise ValueError(f"unknown scenario {name!r}")
     recipe = _RECIPES[name]
-    variables = tuple(sorted({ch for row in recipe.frame for ch in row if ch.isalpha()}))
-    gens, const = poly_ring(variables)
-    g = recipe.construct(dict(zip(variables, gens)), const(1))
+    gens, const = poly_ring(recipe.variables)
+    g = recipe.construct(dict(zip(recipe.variables, gens)), const(1))
     for x, y in recipe.identities:
         if not inner(g[x], g[y]).is_zero():
             raise RuntimeError(f"{name}: {x} on {y} does not hold identically")
@@ -304,7 +296,7 @@ def build_system(name: str) -> ConstraintSystem:
         return inner(g[x], g[y]).content_normalized()
 
     return ConstraintSystem(
-        name, variables,
+        name, recipe.variables,
         tuple(pairing(x, y) for x, y in recipe.conditions),
         tuple(tuple(pairing(x, y) for x, y in group) for group in recipe.nondegenerate),
         _POST_CHECKS.get(name, ()))
@@ -466,7 +458,5 @@ def realize(name: str, asg: dict, F: FieldSpec) -> Arrangement:
     the resulting arrangement's profile.
     """
     _require_raw_solution(build_system(name), asg, F)
-    recipe = _RECIPES[name]
-    g = recipe.construct(asg, F.one)
-    labels = recipe.line_labels
+    labels, g = construction(name, asg, F.one)
     return Arrangement(F, [ProjLine(F, g[label]) for label in labels], labels)

@@ -74,7 +74,7 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bounds import schoenheim_u3
 from .errors import FieldTooLarge
@@ -168,8 +168,10 @@ class SearchReport(NamedTuple):
                 f"nodes={self.nodes_visited}",
                 f"exhaustive={self.exhaustive}",
                 "proven maximum" if self.best_is_maximum
-                else "no arrangement entered, not a proven maximum" if self.best is None
-                else "best found, not a proven maximum"]
+                else "best found, not a proven maximum" if self.witnesses
+                else "no arrangement entered, not a proven maximum"]
+        if self.best is not None and not self.witnesses:
+            bits.append("best is the folded-in pencil/near-pencil value")
         if self.target_reached:
             bits.append("target reached")
         return ", ".join(bits)
@@ -272,6 +274,15 @@ class _Searcher:
         return delta
 
     # -- main recursion --------------------------------------------------------
+
+    def live_branches(self) -> Iterator[int]:
+        """The first candidates, in order, whose branch can enter a node: one that
+        fails the symmetry test enters none, and a leaf is entered untested. Lazy,
+        so a search that stops early on its target or budget tests few."""
+        r = self.cfg.s - len(self.root[0])     # lines to add below the root
+        for first in range(len(self.candidates) - r + 1):
+            if r == 1 or (self.guard - self.rep + self.delta(first)) & self.guard == 0:
+                yield first
 
     def branch(self, first: int, node_budget: int, target: int, quota: int) -> tuple:
         """Explore the subtree whose first chosen candidate is candidates[first],
@@ -401,10 +412,10 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     4 * WITNESS_CAP raw witnesses and ends the run with best = t.
 
     The tree below the fixed lines has one branch per first chosen candidate.
-    Branches run here with the remaining budget, or on worker processes; a
-    worker result that overruns the remaining budget is recomputed here. The
-    workers get only the branches whose first line passes the symmetry test;
-    the others visit no node and add nothing to the merge.
+    Only the branches whose first line passes the symmetry test run
+    (_Searcher.live_branches): here with the remaining budget, or all at once
+    on worker processes; a worker result that overruns the remaining budget
+    is recomputed here.
     Results merge in branch order in both modes, so both visit the same nodes.
     """
     plane = Plane.of(cfg.field)
@@ -439,15 +450,9 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     quota = 1 if cfg.target is not None else 4 * WITNESS_CAP
     best, witness_ids, nodes, passes = -1, [], 1, []
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
-    branches = range(len(searcher.candidates) - (cfg.s - len(searcher.root[0])) + 1)
     executor = None
     if cfg.threads > 1:
-        # a branch whose first line fails the symmetry test visits no node, so
-        # it is not sent; a first line that is a leaf is entered without the test
-        if cfg.s - len(searcher.root[0]) > 1:
-            root_gaps = searcher.guard - searcher.rep
-            branches = [first for first in branches
-                        if (root_gaps + searcher.delta(first)) & searcher.guard == 0]
+        branches = list(searcher.live_branches())
         # imported here: the pool modules add ~2.5 MB of RSS (CPython 3.11,
         # Linux), which runs that start no worker need not carry
         from concurrent.futures import ProcessPoolExecutor
@@ -457,7 +462,7 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
             futures = {first: executor.submit(_pool_branch, cfg, use_frame, first, t, quota)
                        for first in branches} if executor else {}
             pass_best, pass_ids, pass_start = -1, [], nodes
-            for first in branches:
+            for first in branches if executor else searcher.live_branches():
                 remaining = cfg.max_nodes - nodes
                 result = futures[first].result() if futures else None
                 if result is None or result[2] > remaining:

@@ -161,23 +161,31 @@ def test_search_cli_gf5_seventeen_unreachable():
     assert res.report["exhaustive"] and not res.report["target_reached"]
 
 
-@pytest.mark.parametrize("q, best", [("2^3", None), ("7", 16)])
-def test_refuted_target_reports_null_best_when_no_arrangement_was_entered(tmp_path, q,
-                                                                          best):
+@pytest.mark.parametrize("q, s, target, best, entered", [
+    pytest.param("2^3", 11, 17, None, False, id="2^3-None"),
+    pytest.param("7", 11, 17, 16, True, id="7-16"),
+    pytest.param("5", 6, 5, 0, False, id="5-0"),
+])
+def test_refuted_target_reports_null_best_when_no_arrangement_was_entered(tmp_path, q, s,
+                                                                          target, best,
+                                                                          entered):
     # over GF(8) the pruned search cuts every partial arrangement before its
-    # last line, so no best exists; over GF(7) it enters 16-point arrangements
+    # last line, so no best exists; over GF(7) it enters 16-point arrangements;
+    # over GF(5) the target 5 > U_3(6) cuts the root, and best=0 is the
+    # pencil/near-pencil value folded into the result, not an entered leaf
     out = tmp_path / "search.json"
-    res = run(["search", "--field", q, "--lines", "11", "--target", "17",
+    res = run(["search", "--field", q, "--lines", str(s), "--target", str(target),
                "--out", str(out)])
     assert res.exit_code == 1
     report = json.loads(out.read_text())
     _validate(report, "search_report.schema.json")
     assert report["best"] == best
     assert report["exhaustive"] and not report["target_reached"]
-    assert bool(report["witnesses"]) == (best is not None)
+    assert bool(report["witnesses"]) == entered
     assert f"best={'none' if best is None else best}," in res.text
-    assert ("no arrangement entered" in res.text) == (best is None)
-    assert ("best found, not a proven maximum" in res.text) == (best is not None)
+    assert ("no arrangement entered" in res.text) == (not entered)
+    assert ("best found, not a proven maximum" in res.text) == entered
+    assert ("folded-in pencil/near-pencil value" in res.text) == (best == 0)
 
 
 @pytest.mark.parametrize("target, code", [(None, 0), (1, 1)])

@@ -16,6 +16,7 @@ from triplelines.constraints import (
     ConstraintSystem,
     build_system,
     consequence_check,
+    construction,
     default_battery,
     realize,
     _scan_plan,
@@ -53,6 +54,25 @@ def test_collinearity_poly_reproduces_a_minus_bc():
     eqs = build_system(TEN_E1).equations
     (a, b, c, d), const = poly_ring(("a", "b", "c", "d"))
     assert eqs[2] == (a - b * c).content_normalized()
+
+
+def test_construction_lifts_int_frame_coefficients_into_the_ring():
+    F = make_field(5)
+    labels, g = construction(TEN_CASE_B, {"a": F(3), "b": F(1), "c": F(2)}, F.one)
+    assert labels == tuple(f"L_{i}" for i in range(1, 7)) + ("M_1", "M_2", "M_3", "M_4")
+    assert g["L_1"] == (F(1), F(0), F(0))
+    assert g["L_4"] == (F(3), F(1), F(1))      # (a, -a-1, 1) at a = 3
+    assert all(type(c) is type(F.one) for triple in g.values() for c in triple)
+    (a, b, c), const = poly_ring(("a", "b", "c"))
+    _, g = construction(TEN_CASE_B, {"a": a, "b": b, "c": c}, const(1))
+    assert g["L_4"] == (a, -a - 1, const(1))
+
+
+def test_case_b_fourth_equation_is_ac_minus_bc_minus_b_plus_c():
+    # the one derived equation that the published fixtures do not pin, since
+    # the paper prints it reduced to a+bc; README states it as ac-bc-b+c
+    (a, b, c), const = poly_ring(("a", "b", "c"))
+    assert build_system(TEN_CASE_B).equations[3] == a * c - b * c - b + c
 
 
 # ---------------------------------------------------------------------------

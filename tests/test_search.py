@@ -289,7 +289,19 @@ def test_pool_gets_only_the_live_first_lines(monkeypatch, q, s, live, passes):
     par = max_triple_search(SearchConfig(field=F, s=s, threads=2))
     assert len(_InlinePool.sent) == live * passes
     assert len(set(_InlinePool.sent)) == live
+    # a sequential run calls branch() for the live first lines only, in the
+    # order the pool is sent them; a pass that collects its witnesses stops
+    called = []
+    branch = search._Searcher.branch
+
+    def counting(self, first, *args):
+        called.append(first)
+        return branch(self, first, *args)
+
+    monkeypatch.setattr(search._Searcher, "branch", counting)
     seq = max_triple_search(SearchConfig(field=F, s=s, threads=1))
+    assert called == _InlinePool.sent[:len(called)]
+    assert set(called) == set(_InlinePool.sent)
     assert par._replace(witnesses=[]) == seq._replace(witnesses=[])
     assert ([arrangement_to_json(w) for w in par.witnesses]
             == [arrangement_to_json(w) for w in seq.witnesses])

@@ -39,6 +39,15 @@ def test_no_numpy_imports_in_package():
     assert found == []
 
 
+def test_only_constraints_reads_the_scenario_recipes():
+    # other modules reach a scenario's geometry through its public functions,
+    # so the recipe format can change inside constraints.py alone
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.ImportFrom) and node.module == "constraints"
+             and any(alias.name.startswith("_") for alias in node.names)]
+    assert found == []
+
+
 def _raised_name(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return exc.id if isinstance(exc, ast.Name) else None
