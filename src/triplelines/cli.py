@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple, Optional
 
@@ -423,7 +424,12 @@ def run(argv: list[str]) -> CommandResult:
 def main() -> None:
     result = run(sys.argv[1:])
     if result.text:
-        print(result.text)
+        try:
+            print(result.text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe early; any --json/--out file is written
+            # already, and stdout goes to devnull so the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.exit_code)
 
 

@@ -1,10 +1,11 @@
-"""Exact arithmetic in GF(p) and GF(p^k).
+"""Exact arithmetic in GF(p^k); a prime field is the case k = 1.
 
 Elements are canonical coefficient vectors of length k over Z/p (low degree
-first); extension arithmetic reduces modulo a monic irreducible polynomial.
-Every field caches full operation tables, which makes element arithmetic a
-pair of list lookups; make_field() therefore builds only fields of order up
-to TABLE_LIMIT and raises FieldTooLarge beyond it.
+first), indexed by their base-p value; arithmetic reduces modulo a monic
+irreducible polynomial, x for a prime field. Every field caches full
+operation tables, which makes element arithmetic a pair of list lookups;
+make_field() therefore builds only fields of order up to TABLE_LIMIT and
+raises FieldTooLarge beyond it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .errors import (
     ReducibleModulus,
     ZeroPolynomial,
 )
-
-MAX_DEGREE = 4
 
 
 def is_prime(n: int) -> bool:
@@ -47,17 +46,6 @@ def _trim(poly: list[int]) -> list[int]:
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -89,17 +77,11 @@ def _monic_polys(degree: int, p: int) -> Iterable[list[int]]:
         yield _digits(n, p, degree) + [1]
 
 
-def _poly_divides(f: Sequence[int], g: Sequence[int], p: int) -> bool:
-    return not _poly_mod(g, f, p)
-
-
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over GF(p).
 
     Coefficient tuples are compared low degree first.
     """
-    if k == 1:
-        return (0, 1)
     for candidate in _monic_polys(k, p):
         if _is_irreducible_strict(candidate, p):
             return tuple(candidate)
@@ -107,12 +89,9 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 def _is_irreducible_strict(modulus: Sequence[int], p: int) -> bool:
-    degree = len(modulus) - 1
-    for d in range(1, degree // 2 + 1):
-        for f in _monic_polys(d, p):
-            if _poly_divides(f, modulus, p):
-                return False
-    return True
+    """No monic polynomial of degree 1..deg/2 divides the modulus."""
+    return all(_poly_mod(modulus, f, p) for d in range(1, (len(modulus) - 1) // 2 + 1)
+               for f in _monic_polys(d, p))
 
 
 #: largest field order make_field builds: every field carries full operation
@@ -123,9 +102,15 @@ TABLE_LIMIT = 1024
 class FieldSpec:
     """A finite field GF(p^k) with a fixed monic irreducible modulus.
 
-    Immutable and safe to share across threads. Construction precomputes the
-    full addition, multiplication, negation and inversion tables over element
-    indices; make_field() keeps q <= TABLE_LIMIT so that they stay small.
+    Immutable and safe to share across threads. Construction builds the full
+    addition, multiplication, negation and inversion tables over element
+    indices the same way for every p^k, a row at a time. Addition is digit-wise
+    mod p, so the row of a is an earlier row read through the row of x^j,
+    which turns digit j. The multiplication rows are the powers of the row of
+    a generator g of the multiplicative group, itself the GF(p)-linear map
+    fixed by the images g*x^i; the powers give the inverses, and the row of
+    p - 1 = -1 is negation. Every row holds the int objects of one list of
+    indices; make_field() keeps q <= TABLE_LIMIT so that the tables stay small.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -143,35 +128,53 @@ class FieldSpec:
         return n
 
     def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.order
-        coeff_vectors = [tuple(_digits(n, p, k)) for n in range(q)]
-        self.coeff_table = coeff_vectors
-        if k == 1:
-            # a prime field's element index is its residue mod p
-            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul_table = [[a * b % p for b in range(p)] for a in range(p)]
-            self.neg_table = [-a % p for a in range(p)]
-            self.inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        idx_of = self.index_of
-        mod = list(self.modulus)
-        add, mul = [], []
-        for a in coeff_vectors:
-            add.append([idx_of([(x + y) % p for x, y in zip(a, b)]) for b in coeff_vectors])
-            mul.append([idx_of(_poly_mod(_poly_mul(_trim(list(a)), _trim(list(b)), p), mod, p))
-                        for b in coeff_vectors])
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = [idx_of([(-x) % p for x in a]) for a in coeff_vectors]
-        inv = [0] * q
+        p, q = self.p, self.order
+        self.coeff_table = [tuple(_digits(n, p, self.k)) for n in range(q)]
+        indices = list(range(q))
+        add = [indices]
         for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(a, q):
-                if mul[a][b] == 1:
-                    inv[a], inv[b] = b, a
-                    break
+            step = 1                            # p^j, j the lowest nonzero digit of a
+            while a % (step * p) == 0:
+                step *= p
+            if a == step:                       # x^j turns digit j within each block
+                row, block = [], step * p
+                for s in range(0, q, block):
+                    row += indices[s + step:s + block] + indices[s:s + step]
+            else:
+                row = list(map(add[step].__getitem__, add[a - step]))
+            add.append(row)
+        for g in range(1, q):
+            gen, powers = self._times(add, g), [1]
+            while len(powers) < q and (e := gen[powers[-1]]) != 1:
+                powers.append(e)
+            if len(powers) == q - 1:
+                break
+        else:
+            raise ReducibleModulus(f"modulus {list(self.modulus)} is reducible over GF({p})")
+        mul, inv = [[0] * q] * q, [0] * q      # the zero row; every other row is set below
+        row = indices
+        for n, e in enumerate(powers):
+            mul[e], inv[e] = row, powers[-n]
+            row = list(map(gen.__getitem__, row))
+        self.add_table, self.mul_table = add, mul
+        self.neg_table = mul[p - 1]             # -a = (p - 1) * a
         self.inv_table = inv
+
+    def _times(self, add: list[list[int]], b: int) -> list[int]:
+        """The row a -> a*b: GF(p)-linear in a, so fixed by the images b*x^i.
+
+        Digits 0..i-1 of a span the first p^i entries; digit i adds d*b*x^i to
+        them, one block of p^i per d.
+        """
+        row, image = [0], list(self.coeff_table[b])
+        for _ in range(self.k):
+            x_image, blocks, shift = self.index_of(image), [], 0
+            for _ in range(self.p):
+                blocks += map(add[shift].__getitem__, row)
+                shift = add[shift][x_image]
+            row = blocks
+            image = _poly_mod([0] + image, self.modulus, self.p)
+        return row
 
     # -- identity and notation ------------------------------------------------
 
@@ -341,9 +344,6 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise DegreeMismatch(f"extension degree must be a positive integer, got {k}")
-    if k > MAX_DEGREE:
-        raise DegreeMismatch(
-            f"extension degree {k} exceeds the supported maximum {MAX_DEGREE}")
     if p ** k > TABLE_LIMIT:
         raise FieldTooLarge(f"|F| = {p ** k} exceeds the supported maximum {TABLE_LIMIT}")
     if modulus is None:
@@ -359,10 +359,9 @@ def make_field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> F
                 f"modulus has {len(mod) - 1 if mod else 0} degree slots, expected degree {k}")
         if mod[-1] != 1:
             raise ReducibleModulus(f"modulus {list(mod)} is not monic over GF({p})")
-        if k == 1:
-            if mod != (0, 1):
-                raise ReducibleModulus("prime fields use the fixed modulus x")
-        elif not _is_irreducible_strict(mod, p):
+        if k == 1 and mod != (0, 1):
+            raise ReducibleModulus("prime fields use the fixed modulus x")
+        if not _is_irreducible_strict(mod, p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
     key = (p, k, mod)
     if key not in _FIELD_CACHE:

@@ -238,6 +238,18 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert b'"tvec_actual": {\n    "2": 3,\n    "3": 12,\n    "4": 1\n  }' in first[1]
 
 
+def test_report_into_a_pipe_closed_early_exits_quietly():
+    # the report (~450 kB) overfills the pipe, so the reader closes it mid-write
+    src = Path(triplelines.__file__).resolve().parent.parent
+    with subprocess.Popen([sys.executable, "-m", "triplelines.cli", "bounds", "--max", "20000"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().split() == ["s", "naive", "U3"]
+        proc.stdout.close()
+        assert proc.stderr.read() == ""
+        assert proc.wait(timeout=60) == 0
+
+
 def test_constraints_cli_single_field(tmp_path):
     out = tmp_path / "con.json"
     res = run(["constraints", "TEN_CASE_B", "--field", "5", "--list-solutions",

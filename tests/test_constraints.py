@@ -251,6 +251,21 @@ def test_eleven_case_ii_empty_after_distinctness():
         assert [tuple(a[v].index for v in "ab") for a in solve_over(relaxed, F)] == [(1, 1)]
 
 
+@pytest.mark.parametrize("name", [TEN_CASE_A, TEN_CASE_B, ELEVEN_CASE_I, ELEVEN_CASE_II])
+@pytest.mark.parametrize("p, k", [(2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 5), (3, 6)])
+def test_scenarios_but_ten_e1_unsolvable_over_large_extension_fields(name, p, k):
+    assert solve_over(build_system(name), make_field(p, k)) == []
+
+
+@pytest.mark.parametrize("k", range(5, 11))
+def test_ten_e1_over_gf2k_exactly_when_a_cube_root_of_unity_exists(k):
+    # a^2 + a + 1 has roots in GF(2^k) iff 3 divides 2^k - 1, i.e. iff k is even
+    F = make_field(2, k)
+    sols = solve_over(build_system(TEN_E1), F)
+    assert len(sols) == (2 if k % 2 == 0 else 0)
+    assert {asg["a"] for asg in sols} == set(roots_of((1, 1, 1), F))
+
+
 def test_solution_order_deterministic_and_equation_order_free(gf4):
     system = build_system(TEN_E1)
     shuffled = ConstraintSystem(system.name, system.variables,

@@ -1,9 +1,12 @@
 """Field construction, arithmetic, root finding and the field axioms."""
 
+import operator
 import pickle
+import random
 
 import pytest
 
+from triplelines import field
 from triplelines.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -14,8 +17,9 @@ from triplelines.errors import (
     ZeroPolynomial,
 )
 from triplelines.field import (
+    TABLE_LIMIT,
     FieldSpec,
-    _poly_mul,
+    _poly_mod,
     _trim,
     default_modulus,
     is_prime,
@@ -30,6 +34,24 @@ SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 def all_fields():
     return [make_field(p, k) for p, k in SMALL_ORDERS]
+
+
+def _poly_mul(a, b, p):
+    """Product over Z/p of trimmed coefficient lists, low degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _oracle_product(F, a, b):
+    """The index of a*b in F by one polynomial product and reduction."""
+    a, b = (_trim(list(F.coeff_table[i])) for i in (a, b))
+    return F.index_of(_poly_mod(_poly_mul(a, b, F.p), F.modulus, F.p))
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +80,8 @@ def test_nonprime_characteristic_rejected():
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         make_field(2, 2, [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
+    with pytest.raises(ReducibleModulus):
+        FieldSpec(3, 2, (2, 0, 1))   # x^2-1 has no generator: the table build refuses it
 
 
 @pytest.mark.parametrize("p, k, modulus", [
@@ -76,9 +100,19 @@ def test_modulus_degree_mismatch():
         make_field(2, 2, [1, 1, 1, 1])
 
 
-def test_degree_cap():
-    with pytest.raises(DegreeMismatch):
-        make_field(2, 5)
+def test_every_field_up_to_the_table_limit_builds(monkeypatch):
+    # the order is the only cap; an emptied cache keeps one field alive at a time
+    cache = {}
+    monkeypatch.setattr(field, "_FIELD_CACHE", cache)
+    for q in range(2, TABLE_LIMIT + 1):
+        if prime_power(q):
+            F = make_field(*prime_power(q))
+            assert F.order == q and len(F.mul_table) == len(F.add_table[-1]) == q
+            cache.clear()
+    with pytest.raises(FieldTooLarge):
+        make_field(2, 11)
+    with pytest.raises(FieldTooLarge):
+        make_field(3, 7)
 
 
 def test_order_cap():
@@ -152,17 +186,41 @@ def test_prime_field_facts():
     assert F5(3) / F5(2) == F5(4)
 
 
-@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
-def test_prime_field_tables_match_polynomial_path(p):
-    # oracle: the coefficient-list arithmetic that extension fields use
-    F = make_field(p)
-    idx = F.index_of
-    assert F.add_table == [[idx([a + b]) for b in range(p)] for a in range(p)]
-    assert F.mul_table == [[idx(_poly_mul(_trim([a]), _trim([b]), p)) for b in range(p)]
-                           for a in range(p)]
-    assert F.neg_table == [idx([-a]) for a in range(p)]
-    assert F.inv_table[0] == 0
-    assert all(F.mul_table[a][F.inv_table[a]] == 1 for a in range(1, p))
+def _oracle_tables(F):
+    """F's five tables entry by entry: base-p digits, digit-wise sums,
+    polynomial products reduced by the modulus, and the inverses read off them."""
+    p, q, idx = F.p, F.order, F.index_of
+    coeffs = [tuple(n // p ** i % p for i in range(F.k)) for n in range(q)]
+    polys = [_trim(list(c)) for c in coeffs]
+    add, mul = [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
+    for a, (ca, pa) in enumerate(zip(coeffs, polys)):
+        for b in range(a, q):                   # sums and products commute
+            add[a][b] = add[b][a] = idx(map(operator.add, ca, coeffs[b]))
+            mul[a][b] = mul[b][a] = idx(_poly_mod(_poly_mul(pa, polys[b], p), F.modulus, p))
+    neg = [idx([-x for x in c]) for c in coeffs]
+    return coeffs, add, mul, neg, [0] + [row.index(1) for row in mul[1:]]
+
+
+@pytest.mark.parametrize("q", [q for q in range(257) if prime_power(q)])
+def test_tables_match_polynomial_oracle(q):
+    F = make_field(*prime_power(q))
+    for name, table in zip(("coeff", "add", "mul", "neg", "inv"), _oracle_tables(F)):
+        assert getattr(F, f"{name}_table") == table, name
+
+
+@pytest.mark.parametrize("p, k", [(2, 9), (2, 10), (3, 6), (5, 4), (31, 2), (1021, 1)])
+def test_large_field_tables_sampled(p, k):
+    F = make_field(p, k)
+    q, add, mul, neg, inv = F.order, F.add_table, F.mul_table, F.neg_table, F.inv_table
+    assert all(add[a][neg[a]] == 0 for a in range(q))
+    assert inv[0] == 0 and all(mul[a][inv[a]] == 1 for a in range(1, q))
+    rng = random.Random(q)
+    for _ in range(3000):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        assert mul[a][b] == _oracle_product(F, a, b)
 
 
 def test_division_by_zero():
