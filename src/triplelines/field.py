@@ -114,6 +114,9 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        if not modulus or modulus[-1] != 1:
+            # _poly_mod reduces by a monic modulus only
+            raise ReducibleModulus(f"modulus {list(modulus)} is not monic over GF({p})")
         self.p = p
         self.k = k
         self.modulus = modulus

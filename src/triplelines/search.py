@@ -70,9 +70,9 @@ and the child is cut when (gaps + delta(c)) & guard is nonzero.
 
 from __future__ import annotations
 
+import os
 from array import array
 from collections import Counter
-from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -144,6 +144,9 @@ class SearchConfig(_SearchConfigFields):
             raise ValueError("target must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.threads > 1 and not hasattr(os, "fork"):
+            raise ValueError("threads above 1 fork worker processes, and this "
+                             "platform has no os.fork")
         if self.max_nodes < 0:
             raise ValueError("max_nodes must be non-negative")
         return self
@@ -183,6 +186,11 @@ WITNESS_CAP = 10
 # bytes of packed symmetry deltas a search may keep (_Searcher.delta): every
 # field up to GF(47) fits (~5 MB at GF(27)), while GF(81) would need ~500 MB
 DELTA_TABLE_LIMIT = 16 << 20
+
+# bytes of line masks a search may keep (_Searcher.masks): one int of
+# q^2 + q + 1 bits per line, so about q^4/8 bytes; every field up to GF(151)
+# fits (~32 MB at GF(127)), while GF(251) would need ~500 MB
+MASK_TABLE_LIMIT = 64 << 20
 
 
 def _degenerate_family_best(q: int, s: int, metric: str) -> Optional[int]:
@@ -389,19 +397,6 @@ class _Searcher:
                 return
 
 
-@lru_cache(maxsize=1)
-def _worker_searcher(cfg: SearchConfig, use_frame: bool) -> _Searcher:
-    return _Searcher(cfg, Plane.of(cfg.field), use_frame)
-
-
-def _pool_branch(cfg: SearchConfig, use_frame: bool, first: int, target: int,
-                 quota: int) -> tuple:
-    """Worker entry: one branch of one pass, with the whole node budget. A
-    worker process builds its searcher (masks, group) once per run, and each
-    candidate's delta on first use."""
-    return _worker_searcher(cfg, use_frame).branch(first, cfg.max_nodes, target, quota)
-
-
 def max_triple_search(cfg: SearchConfig) -> SearchReport:
     """Maximize the triple-point count over s-line subsets of PG(2,q).
 
@@ -413,14 +408,22 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
 
     The tree below the fixed lines has one branch per first chosen candidate.
     Only the branches whose first line passes the symmetry test run
-    (_Searcher.live_branches): here with the remaining budget, or all at once
-    on worker processes; a worker result that overruns the remaining budget
-    is recomputed here.
-    Results merge in branch order in both modes, so both visit the same nodes.
+    (_Searcher.live_branches): here with the remaining budget, or, with
+    cfg.threads > 1, on that many children forked for each pass
+    (forkpool.fork_map), which inherit this searcher and each take the next
+    live branch when they return a result. A worker result that overruns the
+    remaining budget is recomputed here. Results merge in branch order in
+    both modes, so both visit the same nodes. A field whose line masks would
+    pass MASK_TABLE_LIMIT raises FieldTooLarge before the plane is built.
     """
+    q = cfg.field.order
+    n_lines = q * q + q + 1
+    if n_lines * ((n_lines + 7) // 8) > MASK_TABLE_LIMIT:
+        raise FieldTooLarge(f"PG(2,{q}) has {n_lines} lines, whose point masks would "
+                            f"take more than {MASK_TABLE_LIMIT >> 20} MiB; searches go "
+                            f"up to q = 151")
     plane = Plane.of(cfg.field)
     notes = []
-    n_lines = len(plane.lines)
     if cfg.s > n_lines:
         notes.append(f"PG(2,{cfg.field.order}) has only {n_lines} lines; "
                      f"no arrangement of s={cfg.s} exists")
@@ -450,21 +453,18 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
     quota = 1 if cfg.target is not None else 4 * WITNESS_CAP
     best, witness_ids, nodes, passes = -1, [], 1, []
     budget_hit = cfg.max_nodes < 1         # the root node counts against the budget
-    executor = None
     if cfg.threads > 1:
         branches = list(searcher.live_branches())
-        # imported here: the pool modules add ~2.5 MB of RSS (CPython 3.11,
-        # Linux), which runs that start no worker need not carry
-        from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=min(cfg.threads, len(branches) or 1))
-    try:
-        for t in () if budget_hit else targets:
-            futures = {first: executor.submit(_pool_branch, cfg, use_frame, first, t, quota)
-                       for first in branches} if executor else {}
-            pass_best, pass_ids, pass_start = -1, [], nodes
-            for first in branches if executor else searcher.live_branches():
+        # imported here, so runs that start no worker neither compile nor load it
+        from .forkpool import fork_map
+    for t in () if budget_hit else targets:
+        pooled = (fork_map(lambda first: searcher.branch(first, cfg.max_nodes, t, quota),
+                           branches, cfg.threads) if cfg.threads > 1 else None)
+        pass_best, pass_ids, pass_start = -1, [], nodes
+        try:
+            for first in branches if pooled else searcher.live_branches():
                 remaining = cfg.max_nodes - nodes
-                result = futures[first].result() if futures else None
+                result = next(pooled) if pooled else None
                 if result is None or result[2] > remaining:
                     result = searcher.branch(first, remaining, t, quota)
                 branch_best, branch_ids, branch_nodes, budget_hit = result
@@ -475,15 +475,15 @@ def max_triple_search(cfg: SearchConfig) -> SearchReport:
                 nodes += branch_nodes
                 if budget_hit or (pass_best >= t and len(pass_ids) >= quota):
                     break
-            if pass_best >= best:
-                best, witness_ids = pass_best, pass_ids
-            outcome = "budget spent" if budget_hit else "reached" if pass_best >= t else "refuted"
-            passes.append(f"t={t} {outcome} in {nodes - pass_start} nodes")
-            if budget_hit or pass_best >= t:
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+        finally:
+            if pooled:
+                pooled.close()                 # kills and reaps the pass's workers
+        if pass_best >= best:
+            best, witness_ids = pass_best, pass_ids
+        outcome = "budget spent" if budget_hit else "reached" if pass_best >= t else "refuted"
+        passes.append(f"t={t} {outcome} in {nodes - pass_start} nodes")
+        if budget_hit or pass_best >= t:
+            break
 
     target_stop = cfg.target is not None and best >= cfg.target
     if alt is not None:

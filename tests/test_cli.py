@@ -154,6 +154,19 @@ def test_search_over_a_plane_beyond_16_bit_positions_exits_two():
     assert res.exit_code == 2 and "PG(2,1021) has 1043463 lines" in res.text
 
 
+def test_search_whose_masks_pass_the_limit_exits_two():
+    res = run(["search", "--field", "251", "--lines", "5", "--max-nodes", "10"])
+    assert res.exit_code == 2 and "point masks would take more than 64 MiB" in res.text
+
+
+def test_pool_search_without_os_fork_exits_two(monkeypatch):
+    # no sequential fallback: a platform without fork refuses --threads 2
+    monkeypatch.delattr(os, "fork")
+    res = run(["search", "--field", "5", "--lines", "8", "--threads", "2"])
+    assert res.exit_code == 2 and "os.fork" in res.text
+    assert run(["search", "--field", "5", "--lines", "8", "--threads", "1"]).exit_code == 0
+
+
 def test_search_cli_gf5_seventeen_unreachable():
     res = run(["search", "--field", "5", "--lines", "11", "--target", "17"])
     assert res.exit_code == 1

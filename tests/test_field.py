@@ -3,6 +3,7 @@
 import operator
 import pickle
 import random
+import signal
 
 import pytest
 
@@ -82,6 +83,22 @@ def test_reducible_modulus_rejected():
         make_field(2, 2, [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
     with pytest.raises(ReducibleModulus):
         FieldSpec(3, 2, (2, 0, 1))   # x^2-1 has no generator: the table build refuses it
+
+
+def test_non_monic_modulus_rejected_at_once():
+    # reducing by 2x^2 + 1 would never clear the top coefficient, so a table
+    # build would not end: the alarm turns that hang into a failure
+    def hung(signum, frame):
+        pytest.fail("FieldSpec with a non-monic modulus did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ReducibleModulus, match="not monic"):
+            FieldSpec(3, 2, (1, 0, 2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("p, k, modulus", [

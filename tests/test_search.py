@@ -1,16 +1,16 @@
 """Search correctness: oracles, published optima, soundness, pruning honesty."""
 
-import concurrent.futures
 import itertools
+import os
 import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import brute_force_best_triples, run_python
+from conftest import brute_force_best_triples
 
-from triplelines import search
+from triplelines import forkpool, search
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
 from triplelines.errors import FieldTooLarge
 from triplelines.field import make_field, prime_power
@@ -238,44 +238,35 @@ def test_threads_match_sequential(gf3, gf5):
                 == [arrangement_to_json(w) for w in par.witnesses])
 
 
-_SPAWNED_SEARCH = """
-import multiprocessing
-from triplelines.field import make_field
-from triplelines.incidence import arrangement_to_json
-from triplelines.search import SearchConfig, max_triple_search
-multiprocessing.set_start_method("spawn")
-reports = [max_triple_search(SearchConfig(field=make_field(7), s=10, threads=t))
-           for t in (2, 1)]
-par, seq = [rep._replace(witnesses=[arrangement_to_json(w) for w in rep.witnesses])
-            for rep in reports]
-print(par == seq, par.best, par.nodes_visited, len(multiprocessing.active_children()))
-"""
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_spawned_pool_matches_sequential():
-    # spawned workers start from a fresh interpreter and import the search
-    # themselves; the report must not depend on the start method, and the
-    # pool must leave no worker behind
-    assert run_python(_SPAWNED_SEARCH).split() == ["True", "12", "9287", "0"]
+def test_pool_leaves_no_worker_behind(gf5, monkeypatch):
+    # every pass kills and reaps its workers, whether it stops early on the
+    # target, runs out of branches, or fails
+    rep = max_triple_search(SearchConfig(field=gf5, s=10, target=13, threads=2))
+    assert rep.target_reached and not rep.exhaustive
+    _no_child_left()
+    rep = max_triple_search(SearchConfig(field=gf5, s=11, target=17, threads=3))
+    assert rep.exhaustive and not rep.target_reached
+    _no_child_left()
+
+    def failing(self, *args):
+        raise ZeroDivisionError("a failing worker")
+
+    monkeypatch.setattr(search._Searcher, "branch", failing)
+    with pytest.raises(RuntimeError, match="exited without the result"):
+        max_triple_search(SearchConfig(field=gf5, s=10, threads=2))
+    _no_child_left()
 
 
-class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that runs each submission at once
-    and records the first line of each branch sent."""
-
-    sent: list = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def submit(self, fn, cfg, use_frame, first, *args):
-        self.sent.append(first)
-        future = concurrent.futures.Future()
-        future.set_result(fn(cfg, use_frame, first, *args))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
+def test_threads_above_one_need_os_fork(gf5, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        SearchConfig(field=gf5, s=8, threads=2)
+    assert SearchConfig(field=gf5, s=8, threads=1).threads == 1
 
 
 @pytest.mark.parametrize("q, s, live, passes", [
@@ -284,11 +275,18 @@ class _InlinePool:
 ])
 def test_pool_gets_only_the_live_first_lines(monkeypatch, q, s, live, passes):
     F = make_field(q)
-    monkeypatch.setattr(_InlinePool, "sent", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    sent = []
+
+    def inline_fork_map(fn, items, workers):
+        # a stand-in for forkpool.fork_map that runs each branch here and
+        # records the first line of each branch handed to the pool
+        sent.extend(items)
+        yield from map(fn, items)
+
+    monkeypatch.setattr(forkpool, "fork_map", inline_fork_map)
     par = max_triple_search(SearchConfig(field=F, s=s, threads=2))
-    assert len(_InlinePool.sent) == live * passes
-    assert len(set(_InlinePool.sent)) == live
+    assert len(sent) == live * passes
+    assert len(set(sent)) == live
     # a sequential run calls branch() for the live first lines only, in the
     # order the pool is sent them; a pass that collects its witnesses stops
     called = []
@@ -300,15 +298,15 @@ def test_pool_gets_only_the_live_first_lines(monkeypatch, q, s, live, passes):
 
     monkeypatch.setattr(search._Searcher, "branch", counting)
     seq = max_triple_search(SearchConfig(field=F, s=s, threads=1))
-    assert called == _InlinePool.sent[:len(called)]
-    assert set(called) == set(_InlinePool.sent)
+    assert called == sent[:len(called)]
+    assert set(called) == set(sent)
     assert par._replace(witnesses=[]) == seq._replace(witnesses=[])
     assert ([arrangement_to_json(w) for w in par.witnesses]
             == [arrangement_to_json(w) for w in seq.witnesses])
     # every branch not sent visits no node
     searcher = search._Searcher(SearchConfig(field=F, s=s), Plane.of(F), True)
     branches = len(searcher.candidates) - (s - 4) + 1
-    for first in set(range(branches)) - set(_InlinePool.sent):
+    for first in set(range(branches)) - set(sent):
         assert searcher.branch(first, 10 ** 9, 0, 1) == (-1, [], 0, False)
 
 
@@ -484,6 +482,26 @@ def test_plane_beyond_16_bit_positions_is_rejected_before_any_row(monkeypatch):
     F = make_field(251)
     Plane.of(F)
     assert built == [F, F]
+
+
+@pytest.mark.parametrize("q, searched", [(127, True), (151, True), (157, False),
+                                         (251, False)])
+def test_search_masks_past_the_limit_are_rejected_before_the_plane(monkeypatch, q,
+                                                                   searched):
+    # the masks take about q^4/8 bytes: up to GF(151) a search goes on to
+    # build the plane, from GF(157) on it raises first, though the 16-bit
+    # plane of GF(251) would build
+    class PlaneBuilt(Exception):
+        pass
+
+    def plane_of(field):
+        raise PlaneBuilt(field.order)
+
+    monkeypatch.setattr(Plane, "of", plane_of)
+    n = q * q + q + 1
+    with pytest.raises(PlaneBuilt if searched else FieldTooLarge,
+                       match=None if searched else rf"PG\(2,{q}\) has {n} lines.*64 MiB"):
+        max_triple_search(SearchConfig(field=make_field(q), s=5, max_nodes=10))
 
 
 # ---------------------------------------------------------------------------

@@ -63,19 +63,25 @@ def test_no_hand_raised_assertion_errors_in_package():
 
 @pytest.mark.parametrize("module", ["triplelines", "triplelines.cli"])
 def test_import_leaves_the_process_pool_unloaded(module):
-    # a search imports the pool only when it starts workers, so runs that
-    # never do carry none of its memory; records are named tuples, so no run
-    # pays for building dataclasses or for the inspect module they load
-    out = run_python(f"import sys, {module}; "
-                     "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
-                     "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))")
-    assert out.split() == []
+    # records are named tuples, so no run pays for building dataclasses or for
+    # the inspect module they load; a search forks its workers itself, so not
+    # even a pool search loads multiprocessing or concurrent.futures
+    out = run_python(
+        f"import sys, {module}\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+        "print(*loaded('multiprocessing', 'concurrent', 'dataclasses', 'inspect'))\n"
+        "from triplelines.field import make_field\n"
+        "from triplelines.search import SearchConfig, max_triple_search\n"
+        "print(max_triple_search(SearchConfig(field=make_field(5), s=8, threads=2)).best)\n"
+        "print(*loaded('multiprocessing', 'concurrent'))\n")
+    assert out.split("\n") == ["", "7", "", ""]
 
 
 def test_search_import_loads_only_what_a_search_uses():
-    # the package re-exports nothing, so a search, and each pool worker a
-    # spawn or forkserver start imports it in, loads no scenario systems,
-    # polynomials, certificates or torsion model
+    # the package re-exports nothing, so a search loads no scenario systems,
+    # polynomials, certificates or torsion model, and only a search with more
+    # than one worker loads the fork pool
     out = run_python("import sys, triplelines.search; "
                      "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'triplelines'))")
     assert out.split() == ["triplelines"] + [f"triplelines.{name}" for name in (
