@@ -4,6 +4,9 @@ One binary with subcommands; exit code 0 means success/verified, 1 means a
 verification or search target failed, 2 means a usage or input error. All
 output is deterministic given the same flags, and every JSON report embeds
 the field data (p, k, modulus) so extension-field results are unambiguous.
+
+It is the one module that reads or writes files (arrangements, reports and
+CSV tables). Handlers return their report, and run() writes it on exit 0 or 1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .bounds import bound_table
+from .bounds import BoundRow, bound_table
 from .certificates import (
     CERTIFICATE_NAMES,
     builtin,
@@ -32,22 +35,18 @@ from .constraints import (
     solve_over,
 )
 from .errors import TripleLinesError
-from .field import FieldElement, FieldSpec, parse_field
+from .field import FieldElement, FieldSpec, make_field, parse_field
 from .incidence import (
+    Arrangement,
+    IncidenceTable,
     abstract,
-    arrangement_to_json,
     check_identity,
-    element_from_json,
-    element_to_json,
-    field_to_json,
     isomorphic,
-    load_arrangement,
     parity_check,
     profile,
-    save_arrangement,
     table as incidence_table,
-    tvec_to_json,
 )
+from .projective import ProjLine
 from .search import SearchConfig, dual_search_seed, max_triple_search
 from .torsion import torsion_dual_counts, torsion_model
 
@@ -58,24 +57,120 @@ class CommandResult(NamedTuple):
     report: Optional[dict] = None
 
 
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+def element_to_json(e: FieldElement):
+    """An integer in a prime field, a coefficient list in an extension field."""
+    return e.index if e.field.k == 1 else list(e.coeffs)
+
+
+def element_from_json(F: FieldSpec, value, what: str) -> FieldElement:
+    """The element written as an integer in 0..p-1 (a constant) or as a list
+    of at most k such integers (coefficients, low degree first).
+
+    Nothing is coerced: a bool, float or string, or an integer that would
+    only reduce to a residue (in GF(p^k) it could also read as an element
+    index) raises ValueError, whose message calls the value `what`.
+    """
+    for c in value if isinstance(value, list) else [value]:
+        if type(c) is not int:
+            raise ValueError(f"{what} expected, got {c!r}")
+        if not 0 <= c < F.p:
+            raise ValueError(f"{what} {c} is outside 0..{F.p - 1} for {F!r}")
+    return F.element(value)
+
+
+def field_to_json(F: FieldSpec) -> dict:
+    d = {"p": F.p, "k": F.k}
+    if F.k > 1:
+        d["modulus"] = list(F.modulus)
+    return d
+
+
+def tvec_to_json(tvec: dict) -> dict:
+    """A t-vector with its multiplicities k as string keys."""
+    return {str(k): v for k, v in tvec.items()}
+
+
+def field_from_json(d: dict) -> FieldSpec:
+    if not (isinstance(d, dict) and "p" in d and d.keys() <= {"p", "k", "modulus"}):
+        raise ValueError(f"field {d!r} is not an object with p and optional k, modulus")
+    p, k, modulus = d["p"], d.get("k", 1), d.get("modulus")
+    if (modulus is not None and not isinstance(modulus, list)
+            or any(type(n) is not int for n in [p, k, *(modulus or [])])):
+        raise ValueError(f"field {d!r}: p, k and the modulus coefficients must be integers")
+    return make_field(p, k, modulus)
+
+
+def arrangement_to_json(A: Arrangement) -> dict:
+    d = {
+        "field": field_to_json(A.field),
+        "lines": [[element_to_json(c) for c in L.coords] for L in A.lines],
+    }
+    if A.labels:
+        d["labels"] = list(A.labels)
+    return d
+
+
+def arrangement_from_json(d: dict) -> Arrangement:
+    if not (isinstance(d, dict) and {"field", "lines"} <= d.keys() <= {"field", "lines", "labels"}):
+        raise ValueError("an arrangement is an object with field, lines and optional labels")
+    F = field_from_json(d["field"])
+    if not (isinstance(d["lines"], list) and all(isinstance(L, list) for L in d["lines"])):
+        raise ValueError(f"lines must be a list of coordinate lists, got {d['lines']!r}")
+    lines = [ProjLine(F, [element_from_json(F, c, "integer coordinate") for c in coords])
+             for coords in d["lines"]]
+    labels = d.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)
+                                   and len(set(labels)) == len(labels)):
+        raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
+    return Arrangement(F, lines, labels)
+
+
+def table_to_csv(tab: IncidenceTable) -> str:
+    """A header of column labels, then one row per line with '+' at its points."""
+    lines = ["," + ",".join(tab.col_labels)]
+    for label, row in zip(tab.row_labels, tab.cells):
+        lines.append(label + "," + ",".join("+" if c else "" for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _write(path: str, content) -> None:
+    """The one writer of output files: a str as it is, anything else as JSON."""
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
+
+
+def save_arrangement(A: Arrangement, path: str) -> None:
+    _write(path, arrangement_to_json(A))
+
+
+def load_arrangement(path: str) -> Arrangement:
+    with open(path, "r", encoding="utf-8") as fh:
+        return arrangement_from_json(json.load(fh))
+
+
 def _parse_ints(text: str) -> list[int]:
     """Comma-separated integers, optionally in brackets: '1,0,1' or '[1,0,1]'."""
     return [int(c) for c in text.replace("[", "").replace("]", "").split(",")]
 
 
-def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
-    return None if text is None else _parse_ints(text)
+def _add_field_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--field", required=required, metavar="Q")
+    parser.add_argument("--modulus", metavar="C0,C1,..")
+
+
+def _field(args) -> FieldSpec:
+    return parse_field(args.field, None if args.modulus is None else _parse_ints(args.modulus))
 
 
 def _parse_element(F: FieldSpec, text: str) -> FieldElement:
     return element_from_json(F, _parse_ints(text), "--param coefficient")
-
-
-def _write_json(path: Optional[str], report: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,16 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a built-in configuration")
     p_verify.add_argument("name", choices=list(CERTIFICATE_NAMES))
-    p_verify.add_argument("--field", required=True, metavar="Q")
-    p_verify.add_argument("--modulus", metavar="C0,C1,..")
+    _add_field_args(p_verify)
     p_verify.add_argument("--param", metavar="ELT")
     p_verify.add_argument("--table", action="store_true",
                           help="print the incidence table as CSV")
     p_verify.add_argument("--json", metavar="FILE")
 
     p_search = sub.add_parser("search", help="maximize triple points over s lines")
-    p_search.add_argument("--field", required=True, metavar="Q")
-    p_search.add_argument("--modulus", metavar="C0,C1,..")
+    _add_field_args(p_search)
     p_search.add_argument("--lines", type=int, required=True, metavar="S")
     p_search.add_argument("--target", type=int, default=None)
     p_search.add_argument("--metric", choices=["3", "3plus"], default="3")
@@ -109,12 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="disable frame normalization")
     p_search.add_argument("--max-nodes", type=int, default=10 ** 9)
     p_search.add_argument("--threads", type=int, default=1)
-    p_search.add_argument("--out", metavar="FILE", help="write the JSON report")
+    p_search.add_argument("--out", dest="json", metavar="FILE", help="write the JSON report")
 
     p_con = sub.add_parser("constraints", help="solve an incidence scenario")
     p_con.add_argument("scenario", choices=list(SCENARIO_NAMES))
-    p_con.add_argument("--field", metavar="Q")
-    p_con.add_argument("--modulus", metavar="C0,C1,..")
+    _add_field_args(p_con, required=False)
     p_con.add_argument("--battery", action="store_true",
                        help="scan the default field battery")
     p_con.add_argument("--list-solutions", action="store_true")
@@ -144,8 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export", help="write a certificate arrangement file")
     p_exp.add_argument("name", choices=list(CERTIFICATE_NAMES))
-    p_exp.add_argument("--field", required=True, metavar="Q")
-    p_exp.add_argument("--modulus", metavar="C0,C1,..")
+    _add_field_args(p_exp)
     p_exp.add_argument("--param", metavar="ELT")
     p_exp.add_argument("--out", required=True, metavar="FILE")
     return parser
@@ -162,19 +253,14 @@ def _cmd_bounds(args) -> CommandResult:
         lines.append(f"{r.s:>4} {r.naive:>7} {r.u3:>6}")
     text = "\n".join(lines)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("s,naive,u3,eps\n")
-            for r in rows:
-                fh.write(f"{r.s},{r.naive},{r.u3},{r.eps}\n")
-    report = {"max_s": args.max,
-              "rows": [{"s": r.s, "naive": r.naive, "u3": r.u3, "eps": r.eps}
-                       for r in rows]}
-    _write_json(args.json, report)
+        _write(args.csv, "".join(",".join(map(str, r)) + "\n"
+                                 for r in [BoundRow._fields, *rows]))
+    report = {"max_s": args.max, "rows": [r._asdict() for r in rows]}
     return CommandResult(0, text, report)
 
 
 def _cmd_verify(args) -> CommandResult:
-    F = parse_field(args.field, _parse_modulus(args.modulus))
+    F = _field(args)
     param = _parse_element(F, args.param) if args.param else None
     rep = verify(args.name, F, param)
     lines = [f"{args.name} over {F!r}"
@@ -186,7 +272,7 @@ def _cmd_verify(args) -> CommandResult:
         lines.extend(f"mismatch: {m}" for m in rep.mismatches)
     text = "\n".join(lines)
     if args.table:
-        text += "\n" + certificate_table(args.name, F, param).to_csv()
+        text += "\n" + table_to_csv(certificate_table(args.name, F, param))
     report = {
         "certificate": args.name,
         "field": field_to_json(F),
@@ -196,12 +282,11 @@ def _cmd_verify(args) -> CommandResult:
         "tvec_actual": tvec_to_json(rep.tvec_actual),
         "mismatches": list(rep.mismatches),
     }
-    _write_json(args.json, report)
     return CommandResult(0 if rep.ok else 1, text, report)
 
 
 def _cmd_search(args) -> CommandResult:
-    F = parse_field(args.field, _parse_modulus(args.modulus))
+    F = _field(args)
     cfg = SearchConfig(
         field=F, s=args.lines, target=args.target,
         metric="exact3" if args.metric == "3" else "atleast3",
@@ -225,7 +310,6 @@ def _cmd_search(args) -> CommandResult:
         "witnesses": [arrangement_to_json(w) for w in rep.witnesses],
         "notes": list(rep.notes),
     }
-    _write_json(args.out, report)
     code = 0
     if args.target is not None and not rep.target_reached:
         code = 1
@@ -239,7 +323,7 @@ def _cmd_constraints(args) -> CommandResult:
         raise ValueError("--modulus needs --field")
     system = build_system(args.scenario)
     if args.field is not None:
-        battery = [parse_field(args.field, _parse_modulus(args.modulus))]
+        battery = [_field(args)]
     else:
         battery = default_battery()
     lines = [f"scenario {args.scenario}: variables {', '.join(system.variables)}; "
@@ -287,7 +371,6 @@ def _cmd_constraints(args) -> CommandResult:
     elif args.consequences:
         lines.append(f"consequences: none recorded for {args.scenario}")
     lines.append("note: per-field evidence only, not a statement about all fields")
-    _write_json(args.json, report)
     return CommandResult(code, "\n".join(lines), report)
 
 
@@ -321,15 +404,8 @@ def _cmd_torsion(args) -> CommandResult:
             f"U3({counts.lines})={counts.u3}, gap={counts.gap}")
         lines.append(f"pair-count identity holds: {counts.identity_holds}; "
                      f"closed forms hold: {closed_forms}")
-        report["dual"] = {
-            "lines": counts.lines, "t3": counts.t3, "t2": counts.t2,
-            "points_on_dual_of_zero": counts.points_on_dual_of_zero,
-            "points_on_dual_of_nonzero": counts.points_on_dual_of_nonzero,
-            "u3": counts.u3, "gap": counts.gap,
-            "identity_holds": counts.identity_holds,
-            "closed_forms_hold": closed_forms,
-        }
-    _write_json(args.json, report)
+        report["dual"] = {k: v for k, v in counts._asdict().items() if k != "p"}
+        report["dual"]["closed_forms_hold"] = closed_forms
     return CommandResult(code, "\n".join(lines), report)
 
 
@@ -346,10 +422,8 @@ def _cmd_profile(args) -> CommandResult:
     if par.lines_with_only_triples:
         lines.append(f"lines carrying only triple points (forces odd s): "
                      f"{', '.join(par.lines_with_only_triples)}")
-    tab = incidence_table(A)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(tab.to_csv())
+        _write(args.csv, table_to_csv(incidence_table(A)))
         lines.append(f"incidence table written to {args.csv}")
     report = {
         "field": field_to_json(A.field),
@@ -359,7 +433,6 @@ def _cmd_profile(args) -> CommandResult:
         "parity_all_pass": par.all_pass,
         "lines_with_only_triple_points": list(par.lines_with_only_triples),
     }
-    _write_json(args.json, report)
     return CommandResult(0 if par.all_pass else 1, "\n".join(lines), report)
 
 
@@ -377,14 +450,13 @@ def _cmd_iso(args) -> CommandResult:
     B = load_arrangement(args.file_b)
     same = isomorphic(abstract(A), abstract(B))
     report = {"file_a": args.file_a, "file_b": args.file_b, "isomorphic": same}
-    _write_json(args.json, report)
     text = ("the two arrangements are isomorphic as abstract incidence structures"
             if same else "not isomorphic")
     return CommandResult(0 if same else 1, text, report)
 
 
 def _cmd_export(args) -> CommandResult:
-    F = parse_field(args.field, _parse_modulus(args.modulus))
+    F = _field(args)
     param = _parse_element(F, args.param) if args.param else None
     A = instantiate(args.name, F, param)
     save_arrangement(A, args.out)
@@ -412,12 +484,18 @@ def run(argv: list[str]) -> CommandResult:
         # argparse already printed its message; --help/--version exit 0
         return CommandResult(0 if exc.code == 0 else 2, "")
     try:
-        return _HANDLERS[args.command](args)
+        result = _HANDLERS[args.command](args)
+        if getattr(args, "json", None):
+            _write(args.json, result.report)
+        return result
     except FileNotFoundError as exc:
         return CommandResult(2, f"error: no such file: {exc.filename}")
     except OSError as exc:
+        # a failed fork or pipe names no file
+        if exc.filename is None:
+            return CommandResult(2, f"error: {exc}")
         return CommandResult(2, f"error: cannot open {exc.filename}: {exc.strerror}")
-    except (TripleLinesError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TripleLinesError, ValueError) as exc:
         return CommandResult(2, f"error: {exc}")
 
 

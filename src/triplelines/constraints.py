@@ -46,7 +46,7 @@ from .errors import IdenticalArguments, UnsolvedAssignment
 from .field import FieldElement, FieldSpec, make_field, prime_power
 from .incidence import Arrangement
 from .polynomial import IntPolynomial, poly_ring
-from .projective import ProjLine, cross, incident, inner, meet
+from .projective import FRAME_COORDS, ProjLine, cross, incident, inner, meet
 
 TEN_E1 = "TEN_E1"
 TEN_CASE_A = "TEN_CASE_A"
@@ -110,7 +110,7 @@ _NONDEGENERATE_ABCD = ((("P_23", "L_5"),), (("P_13", "L_5"),), (("P_23", "L_6"),
 
 
 def _frame_abcd(a, b, c, d):
-    return (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (a, b, 1), (c, d, 1)
+    return FRAME_COORDS + ((a, b, 1), (c, d, 1))
 
 
 class _Recipe(NamedTuple):
@@ -186,8 +186,7 @@ _RECIPES = {
         lines=("T_1", "T_2", "T_3", "T_4", "T_5")),
     TEN_CASE_B: _Recipe(
         ("a", "b", "c"),
-        lambda a, b, c: ((1, 0, 0), (0, 1, 0), (0, 0, 1),
-                         (a, -a - 1, 1), (b, -b - 1, 1), (c, -c - 1, 1)),
+        lambda a, b, c: FRAME_COORDS[:3] + ((a, -a - 1, 1), (b, -b - 1, 1), (c, -c - 1, 1)),
         steps=(("M_1", "P_14", "P_25"), ("M_2", "P_12", "P_34"), ("M_3", "P_15", "P_23"),
                ("M_4", "P_13", "P_26"), ("Z_1", "M_3", "M_4"), ("Z_2", "M_2", "M_4"),
                ("Z_3", "M_2", "M_3")),
@@ -199,7 +198,7 @@ _RECIPES = {
         lines=("M_1", "M_2", "M_3", "M_4")),
     ELEVEN_CASE_II: _Recipe(
         ("a", "b"),
-        lambda a, b: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (a, b, 1)),
+        lambda a, b: FRAME_COORDS + ((a, b, 1),),
         steps=(("M_1", "P_12", "P_34"), ("M_2", "P_15", "P_23"),
                ("N_1", "P_14", "P_25"), ("N_2", "P_24", "P_35"),
                ("W_1", "M_1", "M_2"), ("W_2", "N_1", "N_2"),

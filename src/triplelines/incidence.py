@@ -7,14 +7,13 @@ identity C(s,2) = sum_k t_k * C(k,2) holds for every profile by construction
 and is checked on computation.
 
 Also houses the field-free view of an arrangement (blocks of concurrent line
-indices) with a backtracking isomorphism test, and the JSON arrangement file
-format used by the CLI.
+indices) with a backtracking isomorphism test. Reading and writing
+arrangements as files is the CLI's business (triplelines.cli).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from array import array
 from collections import Counter
 from math import comb
@@ -22,7 +21,7 @@ from operator import add, lt, mul, setitem
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, UnknownLabel
-from .field import FieldElement, FieldSpec, make_field
+from .field import FieldSpec
 from .projective import ProjLine, ProjPoint, _cross_key, incident
 
 
@@ -154,12 +153,6 @@ class IncidenceTable(NamedTuple):
         except ValueError as exc:
             raise UnknownLabel(str(exc)) from exc
         return self.cells[i][j]
-
-    def to_csv(self) -> str:
-        lines = ["," + ",".join(self.col_labels)]
-        for label, row in zip(self.row_labels, self.cells):
-            lines.append(label + "," + ",".join("+" if c else "" for c in row))
-        return "\n".join(lines) + "\n"
 
 
 def table(A: Arrangement,
@@ -381,87 +374,3 @@ def isomorphic(X: AbstractIncidence, Y: AbstractIncidence) -> bool:
         return False
 
     return extend(0)
-
-
-# ---------------------------------------------------------------------------
-# arrangement files
-# ---------------------------------------------------------------------------
-
-def element_to_json(e: FieldElement):
-    """An integer in a prime field, a coefficient list in an extension field."""
-    return e.index if e.field.k == 1 else list(e.coeffs)
-
-
-def element_from_json(F: FieldSpec, value, what: str) -> FieldElement:
-    """The element written as an integer in 0..p-1 (a constant) or as a list
-    of at most k such integers (coefficients, low degree first).
-
-    Nothing is coerced: a bool, float or string, or an integer that would
-    only reduce to a residue (in GF(p^k) it could also read as an element
-    index) raises ValueError, whose message calls the value `what`.
-    """
-    for c in value if isinstance(value, list) else [value]:
-        if type(c) is not int:
-            raise ValueError(f"{what} expected, got {c!r}")
-        if not 0 <= c < F.p:
-            raise ValueError(f"{what} {c} is outside 0..{F.p - 1} for {F!r}")
-    return F.element(value)
-
-
-def field_to_json(F: FieldSpec) -> dict:
-    d = {"p": F.p, "k": F.k}
-    if F.k > 1:
-        d["modulus"] = list(F.modulus)
-    return d
-
-
-def tvec_to_json(tvec: dict) -> dict:
-    """A t-vector with its multiplicities k as string keys."""
-    return {str(k): v for k, v in tvec.items()}
-
-
-def field_from_json(d: dict) -> FieldSpec:
-    if not (isinstance(d, dict) and "p" in d and d.keys() <= {"p", "k", "modulus"}):
-        raise ValueError(f"field {d!r} is not an object with p and optional k, modulus")
-    p, k, modulus = d["p"], d.get("k", 1), d.get("modulus")
-    if (modulus is not None and not isinstance(modulus, list)
-            or any(type(n) is not int for n in [p, k, *(modulus or [])])):
-        raise ValueError(f"field {d!r}: p, k and the modulus coefficients must be integers")
-    return make_field(p, k, modulus)
-
-
-def arrangement_to_json(A: Arrangement) -> dict:
-    d = {
-        "field": field_to_json(A.field),
-        "lines": [[element_to_json(c) for c in L.coords] for L in A.lines],
-    }
-    if A.labels:
-        d["labels"] = list(A.labels)
-    return d
-
-
-def arrangement_from_json(d: dict) -> Arrangement:
-    if not (isinstance(d, dict) and {"field", "lines"} <= d.keys() <= {"field", "lines", "labels"}):
-        raise ValueError("an arrangement is an object with field, lines and optional labels")
-    F = field_from_json(d["field"])
-    if not (isinstance(d["lines"], list) and all(isinstance(L, list) for L in d["lines"])):
-        raise ValueError(f"lines must be a list of coordinate lists, got {d['lines']!r}")
-    lines = [ProjLine(F, [element_from_json(F, c, "integer coordinate") for c in coords])
-             for coords in d["lines"]]
-    labels = d.get("labels")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)
-                                   and len(set(labels)) == len(labels)):
-        raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
-    return Arrangement(F, lines, labels)
-
-
-def save_arrangement(A: Arrangement, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(arrangement_to_json(A), fh, indent=2)
-        fh.write("\n")
-
-
-def load_arrangement(path: str) -> Arrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return arrangement_from_json(json.load(fh))

@@ -24,6 +24,10 @@ from .field import is_prime
 from .incidence import AbstractIncidence, check_identity
 
 
+#: the most bytes a model's secant columns may take; admits p <= 73
+COLUMN_LIMIT = 64 << 20
+
+
 class TorsionModel(NamedTuple):
     """The group (Z/p)^2 with its blocks, written over point positions.
 
@@ -49,7 +53,13 @@ def torsion_model(p: int) -> TorsionModel:
 
     Each secant block is generated once, as the entry (P, Q, R) with
     P < Q < R = -P-Q, so the blocks come out in lexicographic order.
+    A p whose columns would pass COLUMN_LIMIT raises before anything is built.
     """
+    # three int columns of (p^2-1)(p^2-2)/6 blocks; checked before the
+    # primality test, whose trial division is slow for a large p
+    if p > 2 and 3 * 4 * (p * p - 1) * (p * p - 2) // 6 > COLUMN_LIMIT:
+        raise UnsupportedPrime(f"p = {p}: the secant columns would take more than "
+                               f"{COLUMN_LIMIT >> 20} MiB; models go up to p = 73")
     if not is_prime(p) or p == 2:
         raise NonPrime(f"p = {p} is not an odd prime")
     points = tuple(itertools.product(range(p), repeat=2))

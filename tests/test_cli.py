@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, round trips, report schemas."""
 
+import errno
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import triplelines
-from triplelines import constraints
+from triplelines import cli, constraints
 from triplelines.cli import run
 from triplelines.constraints import default_battery
 from triplelines.torsion import TorsionDualCounts
@@ -351,6 +352,84 @@ def test_unopenable_path_exits_2_with_its_name(tmp_path, argv):
     res = run(argv + [str(tmp_path)])
     assert res.exit_code == 2
     assert res.text.startswith(f"error: cannot open {tmp_path}: ") and "\n" not in res.text
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--max", "5", "--json"], 0),
+    (["verify", "TEN_E2", "--field", "5", "--json"], 0),
+    (["search", "--field", "2", "--lines", "7", "--out"], 0),
+    (["search", "--field", "5", "--lines", "11", "--target", "17", "--out"], 1),
+    (["constraints", "TEN_CASE_B", "--field", "5", "--consequences", "--json"], 0),
+    (["torsion", "--p", "5", "--dual", "--json"], 0),
+    (["profile", "{a}", "--json"], 0),
+    (["iso", "{a}", "{a}", "--json"], 0),
+    (["iso", "{a}", "{b}", "--json"], 1),
+    (["bounds", "--max", "0", "--json"], 2),
+    (["verify", "TEN_E2", "--field", "7", "--json"], 2),
+    (["search", "--field", "4", "--lines", "5", "--out"], 2),
+    (["constraints", "TEN_CASE_B", "--field", "5", "--battery", "--json"], 2),
+    (["torsion", "--p", "3", "--dual", "--json"], 2),
+    (["profile", "{missing}", "--json"], 2),
+    (["iso", "{a}", "{missing}", "--json"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else f"exit{v}")
+def test_run_writes_the_report_on_exit_0_and_1_only(tmp_path, argv, code):
+    paths = {"a": tmp_path / "dh.json", "b": tmp_path / "fano.json",
+             "missing": tmp_path / "missing.json"}
+    assert run(["export", "DUAL_HESSE", "--field", "3", "--out", str(paths["a"])]).exit_code == 0
+    assert run(["export", "FANO", "--field", "2", "--out", str(paths["b"])]).exit_code == 0
+    out = tmp_path / "report.json"
+    res = run([arg.format(**paths) for arg in argv] + [str(out)])
+    assert res.exit_code == code
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert out.read_text() == json.dumps(res.report, indent=2) + "\n"
+
+
+def test_search_report_into_a_directory_exits_2_with_its_name(tmp_path):
+    res = run(["search", "--field", "2", "--lines", "5", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.text.startswith(f"error: cannot open {tmp_path}: ") and "\n" not in res.text
+
+
+def _fail_on_call(monkeypatch, name, n, exc):
+    """Make os.<name> raise exc from its n-th call on; earlier calls go through."""
+    real, calls = getattr(os, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) >= n:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
+
+
+@pytest.mark.parametrize("name, n, exc", [
+    ("fork", 2, BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+    ("pipe", 3, OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+])
+def test_failed_fork_or_pipe_says_what_failed(monkeypatch, name, n, exc):
+    # the second worker's fork (or its first pipe) fails after the first
+    # worker runs: the error names no file, and the first worker is reaped
+    _fail_on_call(monkeypatch, name, n, exc)
+    res = run(["search", "--field", "5", "--lines", "8", "--threads", "2"])
+    monkeypatch.undo()
+    assert res.exit_code == 2
+    assert res.text == f"error: {exc}" and "cannot open" not in res.text
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # no input error raises KeyError, so one from a handler is a fault in the
+    # program and propagates instead of exiting 2
+    def broken(args):
+        raise KeyError("P_99")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+    with pytest.raises(KeyError, match="P_99"):
+        run(["bounds", "--max", "3"])
 
 
 def test_export_profile_round_trip(tmp_path):

@@ -15,6 +15,13 @@ from triplelines.certificates import (
     dual_hesse_from_pg23,
     instantiate,
 )
+from triplelines.cli import (
+    arrangement_from_json,
+    arrangement_to_json,
+    load_arrangement,
+    save_arrangement,
+    table_to_csv,
+)
 from triplelines.constraints import default_battery
 from triplelines.errors import IndexOutOfRange, UnknownLabel
 from triplelines.field import make_field, roots_of
@@ -22,15 +29,11 @@ from triplelines.incidence import (
     AbstractIncidence,
     Arrangement,
     abstract,
-    arrangement_from_json,
-    arrangement_to_json,
     check_identity,
     isomorphic,
-    load_arrangement,
     parity_check,
     profile,
     remove_line,
-    save_arrangement,
     table,
 )
 from triplelines.projective import ProjLine, ProjPoint, cross, enumerate_lines, incident, meet
@@ -218,7 +221,7 @@ def test_table_structure(gf5):
     assert len(tab.col_labels) == 19            # 13 triples + 6 doubles
     column_sums = [sum(row[j] for row in tab.cells) for j in range(len(tab.col_labels))]
     assert sorted(column_sums, reverse=True)[:13] == [3] * 13
-    csv = tab.to_csv()
+    csv = table_to_csv(tab)
     assert csv.count("\n") == 11
     with pytest.raises(UnknownLabel):
         tab.cell("L_1", "nonexistent")

@@ -12,12 +12,12 @@ from conftest import brute_force_best_triples
 
 from triplelines import forkpool, search
 from triplelines.certificates import dual_hesse_from_pg23, instantiate
+from triplelines.cli import arrangement_to_json
 from triplelines.errors import FieldTooLarge
 from triplelines.field import make_field, prime_power
 from triplelines.incidence import (
     Arrangement,
     abstract,
-    arrangement_to_json,
     isomorphic,
     profile,
 )

@@ -48,6 +48,20 @@ def test_only_constraints_reads_the_scenario_recipes():
     assert found == []
 
 
+def _opens_a_file(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "open"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+
+
+def test_only_cli_reads_or_writes_files():
+    # the file formats (JSON reports, arrangement files, CSV tables) live in
+    # cli.py, so no workload imports or compiles them
+    found = sorted({name for name, node in _package_nodes()
+                    if "json" in _imported_modules(node) or _opens_a_file(node)})
+    assert found == ["cli.py"]
+
+
 def _raised_name(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return exc.id if isinstance(exc, ast.Name) else None

@@ -1,6 +1,7 @@
 """Torsion configurations: enumeration versus closed forms, duality, linearity."""
 
 import itertools
+import time
 import tracemalloc
 from array import array
 
@@ -11,7 +12,7 @@ import triplelines.torsion
 from triplelines.certificates import dual_hesse_from_pg23
 from triplelines.errors import NonPrime, UnsupportedPrime
 from triplelines.incidence import abstract, isomorphic
-from triplelines.torsion import torsion_dual, torsion_dual_counts, torsion_model
+from triplelines.torsion import COLUMN_LIMIT, torsion_dual, torsion_dual_counts, torsion_model
 
 
 def test_p5_counts():
@@ -44,6 +45,27 @@ def test_rejects_non_odd_primes():
     for p in (2, 4, 6, 9):
         with pytest.raises(NonPrime):
             torsion_model(p)
+
+
+def test_a_model_past_the_column_limit_is_refused_before_it_is_built():
+    """p = 1009 would need terabytes of secant columns; the check reads p
+    alone, so it raises at once. p = 73 is the largest prime it admits."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedPrime, match="p = 1009: the secant columns would take"):
+            torsion_model(1009)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.1 and peak < 2 ** 20
+    assert 12 * (73 ** 2 - 1) * (73 ** 2 - 2) // 6 <= COLUMN_LIMIT
+    assert 12 * (79 ** 2 - 1) * (79 ** 2 - 2) // 6 > COLUMN_LIMIT
+    assert triplelines.cli.run(["torsion", "--p", "1009", "--dual"]).exit_code == 2
+    # a negative p is still refused as a non-prime, not by its size
+    with pytest.raises(NonPrime):
+        torsion_model(-1009)
 
 
 def test_linearity_p5_and_p7():
